@@ -19,7 +19,7 @@ import traceback
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import jsonschema
 
@@ -208,17 +208,18 @@ class Client:
             self.send(argv)
 
     def timed(
-        self, pool: list[Argv], seconds: float, min_reports: int, wall_cap: float
+        self, argvs: Iterator[Argv], seconds: float, min_reports: float, wall_cap: float
     ) -> list[tuple[float, bool]]:
-        """Whole passes over the pool until ``seconds`` of report time and
-        ``min_reports`` reports are reached, or ``wall_cap`` seconds pass."""
+        """Reports until ``seconds`` of report time and ``min_reports`` reports
+        are reached, or ``wall_cap`` seconds of wall time pass."""
         samples: list[tuple[float, bool]] = []
-        start = time.perf_counter()
-        while (
-            sum(t for t, _ in samples) < seconds or len(samples) < min_reports
-        ) and time.perf_counter() - start < wall_cap:
-            for argv in pool:
-                samples.append(self.send(argv))
+        spent, start = 0.0, time.perf_counter()
+        while (spent < seconds or len(samples) < min_reports) and (
+            time.perf_counter() - start < wall_cap
+        ):
+            sample = self.send(next(argvs))
+            samples.append(sample)
+            spent += sample[0]
         return samples
 
     def digests(self) -> dict[str, str]:

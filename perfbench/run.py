@@ -30,6 +30,7 @@ for _var in THREAD_VARS:
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import random  # noqa: E402
@@ -145,6 +146,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
     harness.prepare_output_dirs()
     client = harness.Client(cli, workload.check)
     client.warm_up(pool)
+    argvs = itertools.cycle(pool)
     results: dict = {"workload": name, "seed": seed, "seconds": seconds, "trace": int(trace)}
 
     if not trace:
@@ -152,7 +154,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
         for _ in range(SLICES):
             setup.append(measure_setup_s())
             samples += client.timed(
-                pool, seconds / SLICES, MIN_REPORTS / SLICES, WALL_CAP_S / SLICES
+                argvs, seconds / SLICES, MIN_REPORTS / SLICES, WALL_CAP_S / SLICES
             )
         summary = harness.summarize(samples)
         values = {
@@ -171,9 +173,9 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
         tracer = Tracer()
         untraced, traced = [], []
         for _ in range(SLICES):
-            untraced += client.timed(pool, seconds / 2 / SLICES, 1, WALL_CAP_S / 2 / SLICES)
+            untraced += client.timed(argvs, seconds / 2 / SLICES, 1, WALL_CAP_S / 2 / SLICES)
             with tracer.installed():
-                traced += client.timed(pool, seconds / 2 / SLICES, 1, WALL_CAP_S / 2 / SLICES)
+                traced += client.timed(argvs, seconds / 2 / SLICES, 1, WALL_CAP_S / 2 / SLICES)
         untraced, traced = harness.summarize(untraced), harness.summarize(traced)
         metrics = tracer.metrics()
         overhead = {

@@ -1,4 +1,5 @@
 """Tests of the benchmark itself: python3 -m pytest perfbench"""
+import itertools
 import json
 import random
 import shutil
@@ -47,7 +48,7 @@ def test_failed_reports_are_counted_and_the_run_goes_on():
     client = harness.Client(cli)
     # demo --n 0 exits 2; --psi -i is read as an option and argparse exits 2.
     pool = [("demo", "--n", "0"), DEMO, ("demo", "--psi", "-i")]
-    samples = client.timed(pool, seconds=0, min_reports=6, wall_cap=60)
+    samples = client.timed(itertools.cycle(pool), seconds=0, min_reports=6, wall_cap=60)
     assert [ok for _, ok in samples] == [False, True, False] * 2
     assert client.attempted == 6
     assert [f["reason"][:11] for f in client.failures] == ["exit code 2"] * 4
