@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 import jsonschema
+import numpy as np
 
 from qclone.circuits import export_circuit, parse_circuit_text
 from qclone.compiler import compile_decoding, compile_encoding
@@ -84,11 +85,28 @@ def _compiled(kind: str, variant: str):
     return compile_decoding(COMPILE_N, AlphaCoefficients.for_angle(COMPILE_N, t, v))
 
 
+def _same_gates(a, b) -> bool:
+    """Same width and gates, parameters and matrices compared as numbers:
+    ``parse_circuit_text`` turns a written ``-0.0`` into ``0.0``."""
+    return (
+        a.num_qubits == b.num_qubits
+        and len(a.gates) == len(b.gates)
+        and all(
+            ga.kind is gb.kind
+            and ga.targets == gb.targets
+            and ga.param == gb.param
+            and (ga.matrix is None) == (gb.matrix is None)
+            and (ga.matrix is None or np.array_equal(ga.matrix, gb.matrix))
+            for ga, gb in zip(a.gates, b.gates)
+        )
+    )
+
+
 def check_circuit_files(report: dict) -> str | None:
     """Each written circuit file holds the circuit compiled in process, and
-    text ones parse back through ``parse_circuit_text`` with 4n / 15n+7
-    two-qubit gates.  The files are removed afterwards, so the next report
-    must write its own.
+    text ones round-trip through ``parse_circuit_text`` to that circuit, with
+    4n / 15n+7 two-qubit gates.  The files are removed afterwards, so the
+    next report must write its own.
     """
     expected = {"encoding": 4 * COMPILE_N, "decoding": 15 * COMPILE_N + 7}
     try:
@@ -101,12 +119,16 @@ def check_circuit_files(report: dict) -> str | None:
             kind = path.name.split("_")[0]
             fmt = "TEXT" if path.suffix == ".txt" else "OPENQASM2"
             text = path.read_text()
-            if text != export_circuit(_compiled(kind, report["variant"]), fmt):
+            compiled = _compiled(kind, report["variant"])
+            if text != export_circuit(compiled, fmt):
                 return f"{name} differs from the circuit compiled in process"
             if fmt == "TEXT":
-                count = parse_circuit_text(text).two_qubit_count
-                if count != expected[kind]:
-                    return f"{name} parses to {count} two-qubit gates, not {expected[kind]}"
+                parsed = parse_circuit_text(text)
+                if parsed.two_qubit_count != expected[kind]:
+                    return (f"{name} parses to {parsed.two_qubit_count} two-qubit"
+                            f" gates, not {expected[kind]}")
+                if not _same_gates(parsed, compiled):
+                    return f"{name} does not parse back to the compiled circuit"
         return None
     finally:
         for path in CIRCUIT_DIR.iterdir():
