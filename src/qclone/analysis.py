@@ -180,24 +180,6 @@ class AuditReport:
                 raise AnalysisError("deviations must be non-negative")
         object.__setattr__(self, "passed", all(c.passed for c in self.claims))
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "marginal_deviations": dict(self.marginal_deviations),
-            "independence_distances": dict(self.independence_distances),
-            "claims": [
-                {
-                    "name": c.name,
-                    "passed": bool(c.passed),
-                    "value": c.value,
-                    "threshold": c.threshold,
-                    "detail": c.detail,
-                }
-                for c in self.claims
-            ],
-            "passed": bool(self.passed),
-        }
-
 
 def _max_pairwise_distance(states: list[DensityOperator]) -> float:
     worst = 0.0

@@ -2,14 +2,14 @@
 
 Gates carry explicit wire indices.  Two-qubit matrices are little-endian over
 ``(targets[0], targets[1])``, i.e. ``targets[0]`` is bit 0 of the local index.
-For counting purposes CNOT, CONTROLLED_U and GENERIC_2Q are each one
-two-qubit gate; everything else is a one-qubit gate.
+For counting purposes CNOT and CONTROLLED_U are each one two-qubit gate;
+everything else is a one-qubit gate.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -21,7 +21,6 @@ RECONSTRUCT_MAX_QUBITS = 12
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 _P1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
 
@@ -31,23 +30,20 @@ class CircuitError(ValueError):
 
 
 class CircuitExportError(CircuitError):
-    """Gate kind not expressible in the requested format."""
+    """Export to a format the exporter does not know."""
 
 
 class GateKind(Enum):
     H = "H"
     X = "X"
-    Z = "Z"
     RZ = "RZ"
     PHASE = "PHASE"
     CNOT = "CNOT"
     CONTROLLED_U = "CONTROLLED_U"
-    GENERIC_2Q = "GENERIC_2Q"
 
 
-_TWO_QUBIT_KINDS = frozenset({GateKind.CNOT, GateKind.CONTROLLED_U, GateKind.GENERIC_2Q})
+_TWO_QUBIT_KINDS = frozenset({GateKind.CNOT, GateKind.CONTROLLED_U})
 _PARAM_KINDS = frozenset({GateKind.RZ, GateKind.PHASE})
-_MATRIX_KINDS = frozenset({GateKind.CONTROLLED_U, GateKind.GENERIC_2Q})
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,12 +64,11 @@ class Gate:
             raise CircuitError(f"negative wire index in {self.targets}")
         if (self.param is not None) != (self.kind in _PARAM_KINDS):
             raise CircuitError(f"{self.kind.value}: parameter mismatch")
-        if (self.matrix is not None) != (self.kind in _MATRIX_KINDS):
+        if (self.matrix is not None) != (self.kind is GateKind.CONTROLLED_U):
             raise CircuitError(f"{self.kind.value}: matrix mismatch")
         if self.matrix is not None:
-            dim = 2 if self.kind is GateKind.CONTROLLED_U else 4
             mat = np.asarray(self.matrix, dtype=np.complex128)
-            if mat.shape != (dim, dim):
+            if mat.shape != (2, 2):
                 raise CircuitError(f"{self.kind.value}: matrix shape {mat.shape}")
             check_unitary(mat)
             mat = mat.copy()
@@ -93,8 +88,6 @@ class Gate:
             return _H.copy()
         if k is GateKind.X:
             return _X.copy()
-        if k is GateKind.Z:
-            return _Z.copy()
         if k is GateKind.RZ:
             half = self.param / 2.0
             return np.diag([cmath.exp(-1j * half), cmath.exp(1j * half)])
@@ -103,16 +96,8 @@ class Gate:
         if k is GateKind.CNOT:
             # control is bit 0, target bit 1
             return np.kron(np.eye(2), _P0) + np.kron(_X, _P1)
-        if k is GateKind.CONTROLLED_U:
-            return np.kron(np.eye(2), _P0) + np.kron(np.asarray(self.matrix), _P1)
-        return np.asarray(self.matrix).copy()
-
-    def dagger(self) -> "Gate":
-        if self.kind in _PARAM_KINDS:
-            return Gate(self.kind, self.targets, param=-self.param)
-        if self.kind in _MATRIX_KINDS:
-            return Gate(self.kind, self.targets, matrix=np.asarray(self.matrix).conj().T)
-        return self  # H, X, Z, CNOT are involutions
+        # CONTROLLED_U, with the same wire convention as CNOT
+        return np.kron(np.eye(2), _P0) + np.kron(np.asarray(self.matrix), _P1)
 
 
 def gate_h(q: int) -> Gate:
@@ -121,10 +106,6 @@ def gate_h(q: int) -> Gate:
 
 def gate_x(q: int) -> Gate:
     return Gate(GateKind.X, (q,))
-
-
-def gate_z(q: int) -> Gate:
-    return Gate(GateKind.Z, (q,))
 
 
 def gate_rz(q: int, theta: float) -> Gate:
@@ -141,10 +122,6 @@ def gate_cnot(control: int, target: int) -> Gate:
 
 def gate_cu(control: int, target: int, u) -> Gate:
     return Gate(GateKind.CONTROLLED_U, (control, target), matrix=u)
-
-
-def gate_2q(a: int, b: int, u) -> Gate:
-    return Gate(GateKind.GENERIC_2Q, (a, b), matrix=u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,34 +152,6 @@ class GateCircuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def dagger(self) -> "GateCircuit":
-        return GateCircuit(
-            tuple(g.dagger() for g in reversed(self.gates)), self.num_qubits
-        )
-
-    def then(self, other: "GateCircuit") -> "GateCircuit":
-        if other.num_qubits != self.num_qubits:
-            raise CircuitError("cannot concatenate circuits of different widths")
-        return GateCircuit(self.gates + other.gates, self.num_qubits)
-
-
-def structurally_equal(a: GateCircuit, b: GateCircuit) -> bool:
-    """Same width, same gates in the same order (matrices entrywise equal)."""
-    if a.num_qubits != b.num_qubits or len(a) != len(b):
-        return False
-    for ga, gb in zip(a.gates, b.gates):
-        if ga.kind is not gb.kind or ga.targets != gb.targets:
-            return False
-        if (ga.param is None) != (gb.param is None):
-            return False
-        if ga.param is not None and ga.param != gb.param:
-            return False
-        if (ga.matrix is None) != (gb.matrix is None):
-            return False
-        if ga.matrix is not None and not np.array_equal(ga.matrix, gb.matrix):
-            return False
-    return True
-
 
 def apply_circuit(state: StateVector, circuit: GateCircuit, wire_map=None) -> StateVector:
     """Run the circuit on a register; ``wire_map[w]`` is the physical qubit of wire w."""
@@ -216,12 +165,12 @@ def apply_circuit(state: StateVector, circuit: GateCircuit, wire_map=None) -> St
     return state
 
 
-def circuit_to_unitary(circuit: GateCircuit, max_qubits: int = RECONSTRUCT_MAX_QUBITS) -> np.ndarray:
+def circuit_to_unitary(circuit: GateCircuit) -> np.ndarray:
     """Dense product of all gate embeddings, earliest gate rightmost."""
     n = circuit.num_qubits
-    if n > max_qubits:
+    if n > RECONSTRUCT_MAX_QUBITS:
         raise CircuitError(
-            f"{n}-qubit dense reconstruction exceeds the cap of {max_qubits}"
+            f"{n}-qubit dense reconstruction exceeds the cap of {RECONSTRUCT_MAX_QUBITS}"
         )
     dim = 2**n
     # Columns of the accumulating unitary are a batch of statevectors.
@@ -274,8 +223,8 @@ def _parse_matrix(text: str, dim: int) -> np.ndarray:
     vals = [float(tok) for tok in text.split(",")]
     if len(vals) != 2 * dim * dim:
         raise CircuitError(f"expected {2*dim*dim} matrix numbers, got {len(vals)}")
-    flat = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
-    return flat.reshape(dim, dim)
+    # Reinterpreting (re, im) pairs keeps signed zeros that re + 1j*im would lose.
+    return np.array(vals, dtype=np.float64).view(np.complex128).reshape(dim, dim)
 
 
 def export_circuit(circuit: GateCircuit, format: str = "TEXT") -> str:
@@ -295,7 +244,7 @@ def _export_text(circuit: GateCircuit) -> str:
             lines.append(f"RZ {wires};theta={_fmt_float(g.param)}")
         elif g.kind is GateKind.PHASE:
             lines.append(f"PHASE {wires};phi={_fmt_float(g.param)}")
-        elif g.kind in _MATRIX_KINDS:
+        elif g.kind is GateKind.CONTROLLED_U:
             lines.append(f"{g.kind.value} {wires};u={_fmt_matrix(g.matrix)}")
         else:
             lines.append(f"{g.kind.value} {wires}")
@@ -324,11 +273,11 @@ def parse_circuit_text(text: str) -> GateCircuit:
             if key not in ("theta", "phi"):
                 raise CircuitError(f"bad parameter field {tail!r}")
             param = float(val)
-        elif kind in _MATRIX_KINDS:
+        elif kind is GateKind.CONTROLLED_U:
             key, _, val = tail.partition("=")
             if key != "u":
                 raise CircuitError(f"bad matrix field {tail!r}")
-            matrix = _parse_matrix(val, 2 if kind is GateKind.CONTROLLED_U else 4)
+            matrix = _parse_matrix(val, 2)
         gates.append(Gate(kind, wires, param=param, matrix=matrix))
     return GateCircuit(tuple(gates), num_qubits)
 
@@ -384,18 +333,12 @@ def _export_qasm(circuit: GateCircuit) -> str:
             lines.append(f"h q[{g.targets[0]}];")
         elif g.kind is GateKind.X:
             lines.append(f"x q[{g.targets[0]}];")
-        elif g.kind is GateKind.Z:
-            lines.append(f"z q[{g.targets[0]}];")
         elif g.kind is GateKind.RZ:
             lines.append(f"rz({_fmt_float(g.param)}) q[{g.targets[0]}];")
         elif g.kind is GateKind.PHASE:
             lines.append(f"u1({_fmt_float(g.param)}) q[{g.targets[0]}];")
         elif g.kind is GateKind.CNOT:
             lines.append(f"cx q[{g.targets[0]}],q[{g.targets[1]}];")
-        elif g.kind is GateKind.CONTROLLED_U:
-            lines.extend(controlled_u_qasm_lines(g.targets[0], g.targets[1], g.matrix))
         else:
-            raise CircuitExportError(
-                "GENERIC_2Q has no OPENQASM2 lowering; decompose it first"
-            )
+            lines.extend(controlled_u_qasm_lines(g.targets[0], g.targets[1], g.matrix))
     return "\n".join(lines) + "\n"

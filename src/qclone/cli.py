@@ -130,6 +130,8 @@ def render_report(report: dict) -> str:
 
 def atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    if not os.path.isdir(directory):
+        raise CliInputError(f"output directory {directory} does not exist")
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qclone-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:

@@ -1,19 +1,16 @@
-"""Pauli matrices and phase-tracked Pauli strings.
+"""Pauli matrices and Pauli strings in symplectic (mask) form.
 
 Single-qubit Paulis are indexed 0..3 as (identity, X, Y, Z).  A
-:class:`PauliString` is a scalar times a tensor product of non-identity
-factors on named qubit positions; products and transposes track the scalar
-exactly, so operator identities can be checked symbolically and then realised
-as dense matrices.
+:class:`PauliString` is ``phase * X^x_mask Z^z_mask``: bit ``q`` of
+``x_mask`` puts an X factor on qubit ``q``, bit ``q`` of ``z_mask`` a Z
+factor, and a Y factor sets both bits, its ``Y = i X Z`` absorbed into
+``phase`` (Aaronson & Gottesman, quant-ph/0406196).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .registers import RegisterLayout
-from .states import embed_operator
 
 SIGMA = (
     np.eye(2, dtype=np.complex128),
@@ -22,19 +19,9 @@ SIGMA = (
     np.array([[1, 0], [0, -1]], dtype=np.complex128),
 )
 
-# sigma_a sigma_b = _PRODUCT_PHASE[a][b] * sigma_{_PRODUCT_INDEX[a][b]}
-_PRODUCT_INDEX = (
-    (0, 1, 2, 3),
-    (1, 0, 3, 2),
-    (2, 3, 0, 1),
-    (3, 2, 1, 0),
-)
-_PRODUCT_PHASE = (
-    (1, 1, 1, 1),
-    (1, 1, 1j, -1j),
-    (1, -1j, 1, 1j),
-    (1, 1j, -1j, 1),
-)
+# (x bit, z bit) of sigma_mu
+_MASK_BITS = ((0, 0), (1, 0), (1, 1), (0, 1))
+_I_POWERS = (1, 1j, -1, -1j)
 
 
 class PauliError(ValueError):
@@ -43,94 +30,48 @@ class PauliError(ValueError):
 
 @dataclass(frozen=True)
 class PauliString:
-    """``scalar * prod_q sigma_{factors[q]}^{(q)}`` with identity factors omitted."""
+    """``phase * X^x_mask Z^z_mask`` on little-endian qubits."""
 
-    scalar: complex = 1.0 + 0j
-    factors: tuple[tuple[int, int], ...] = ()
-    _map: dict[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        seen: dict[int, int] = {}
-        for qubit, mu in self.factors:
-            if mu not in (1, 2, 3):
-                raise PauliError(f"factor index {mu} must be 1, 2 or 3")
-            if qubit in seen:
-                raise PauliError(f"repeated qubit {qubit} in Pauli string")
-            seen[int(qubit)] = int(mu)
-        canonical = tuple(sorted(seen.items()))
-        object.__setattr__(self, "factors", canonical)
-        object.__setattr__(self, "scalar", complex(self.scalar))
-        object.__setattr__(self, "_map", seen)
+    x_mask: int = 0
+    z_mask: int = 0
+    phase: complex = 1.0 + 0j
 
     @classmethod
-    def from_map(cls, factors: dict[int, int], scalar: complex = 1.0) -> "PauliString":
-        items = tuple((q, mu) for q, mu in factors.items() if mu != 0)
-        return cls(scalar=scalar, factors=items)
+    def from_factors(cls, factors: dict[int, int], scalar: complex = 1.0) -> "PauliString":
+        """``scalar * prod_q sigma_{factors[q]}^{(q)}``; index 0 is the identity."""
+        x_mask = z_mask = ys = 0
+        for qubit, mu in factors.items():
+            if mu not in (0, 1, 2, 3):
+                raise PauliError(f"factor index {mu} must be 0, 1, 2 or 3")
+            if qubit < 0:
+                raise PauliError(f"negative qubit {qubit} in Pauli string")
+            x, z = _MASK_BITS[mu]
+            x_mask |= x << qubit
+            z_mask |= z << qubit
+            ys += mu == 2
+        return cls(x_mask, z_mask, complex(scalar) * _I_POWERS[ys % 4])
 
     @classmethod
     def uniform(cls, mu: int, qubits, scalar: complex = 1.0) -> "PauliString":
         """The same Pauli on every listed qubit, e.g. an X...X string."""
-        if mu == 0:
-            return cls(scalar=scalar)
-        return cls.from_map({q: mu for q in qubits}, scalar=scalar)
-
-    def factor_on(self, qubit: int) -> int:
-        return self._map.get(qubit, 0)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.factors)
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        if not isinstance(other, PauliString):
-            return NotImplemented
-        scalar = self.scalar * other.scalar
-        merged: dict[int, int] = {}
-        for q in sorted(set(self.support) | set(other.support)):
-            a, b = self.factor_on(q), other.factor_on(q)
-            scalar *= _PRODUCT_PHASE[a][b]
-            idx = _PRODUCT_INDEX[a][b]
-            if idx:
-                merged[q] = idx
-        return PauliString.from_map(merged, scalar=scalar)
-
-    def transpose(self) -> "PauliString":
-        """Entry-wise transpose: flips the sign once per Y factor."""
-        ys = sum(1 for _, mu in self.factors if mu == 2)
-        return PauliString(scalar=self.scalar * (-1) ** ys, factors=self.factors)
-
-    def conjugate(self) -> "PauliString":
-        ys = sum(1 for _, mu in self.factors if mu == 2)
-        return PauliString(
-            scalar=self.scalar.conjugate() * (-1) ** ys, factors=self.factors
-        )
-
-    def scaled(self, factor: complex) -> "PauliString":
-        return PauliString(scalar=self.scalar * factor, factors=self.factors)
+        return cls.from_factors(dict.fromkeys(qubits, mu), scalar)
 
     def to_matrix(self, num_qubits: int) -> np.ndarray:
-        """Dense matrix on ``num_qubits`` little-endian qubits."""
-        if any(q >= num_qubits for q in self.support):
+        """Dense matrix on ``num_qubits`` little-endian qubits.
+
+        Column ``j`` has its one non-zero entry, ``phase * (-1)^|j & z_mask|``,
+        in row ``j ^ x_mask``.
+        """
+        if (self.x_mask | self.z_mask) >> num_qubits:
             raise PauliError(
-                f"string touches qubit {max(self.support)} but register has"
-                f" {num_qubits} qubits"
+                f"string touches qubit {(self.x_mask | self.z_mask).bit_length() - 1}"
+                f" but register has {num_qubits} qubits"
             )
-        mat = np.array([[self.scalar]], dtype=np.complex128)
+        cols = np.arange(2**num_qubits)
+        parity = np.zeros_like(cols)
         for q in range(num_qubits):
-            mat = np.kron(SIGMA[self.factor_on(q)], mat)
+            if self.z_mask >> q & 1:
+                parity ^= cols >> q & 1
+        mat = np.zeros((cols.size, cols.size), dtype=np.complex128)
+        mat[cols ^ self.x_mask, cols] = self.phase * (1 - 2 * parity)
         return mat
-
-
-def pauli_string_unitary(string: PauliString, layout: RegisterLayout) -> np.ndarray:
-    """Dense unitary for a unimodular Pauli string on a laid-out register."""
-    if abs(abs(string.scalar) - 1.0) > 1e-12:
-        raise PauliError(f"scalar {string.scalar} is not unimodular")
-    return string.to_matrix(layout.num_qubits)
-
-
-def pauli_on(mu: int, qubit: int) -> PauliString:
-    return PauliString.uniform(mu, [qubit])
-
-
-def embed_pauli(mu: int, qubit: int, num_qubits: int) -> np.ndarray:
-    return embed_operator(SIGMA[mu], [qubit], num_qubits)

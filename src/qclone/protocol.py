@@ -20,7 +20,6 @@ qubit itself can be decrypted against the noise register alone.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -28,19 +27,12 @@ from enum import Enum
 import numpy as np
 
 from .paulis import SIGMA, PauliString
-from .registers import (
-    ROLE_DATA,
-    RegisterError,
-    RegisterLayout,
-    noise_role,
-    signal_role,
-)
+from .registers import RegisterLayout
 from .states import (
     DensityOperator,
     StateVector,
     apply_unitary,
     dominant_eigenvector,
-    embed_operator,
     fidelity_pure,
     kron_states,
     partial_trace,
@@ -176,12 +168,10 @@ def encoding_unitary(n: int, t: float, variant: Variant = Variant.STANDARD) -> n
     if n < 1:
         raise ProtocolError(f"need n >= 1, got {n}")
     qubits = range(n + 1)
-    dim = 2 ** (n + 1)
-    eye = np.eye(dim, dtype=np.complex128)
-    m1 = PauliString.uniform(1, qubits).to_matrix(n + 1)
-    m2 = PauliString.uniform(_second_axis(variant), qubits).to_matrix(n + 1)
-    c, s = math.cos(t), math.sin(t)
-    return (c * eye - 1j * s * m1) @ (c * eye - 1j * s * m2)
+    return sum(
+        c * PauliString.uniform(mu, qubits).to_matrix(n + 1)
+        for mu, c in enumerate(expansion_coefficients(n, t, variant))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +232,23 @@ def _decoder_matrix(
     The Bell projector pairs the carrier with slot ``pair_slot``; every other
     slot gets sigma_mu^T, or plain sigma_mu for slots listed in
     ``plain_slots`` (signal qubits standing in for lost noise qubits).
+    Expanding |phi_mu><phi_mu| = 1/4 sum_nu eps_mu,nu sigma_nu (x) sigma_nu^T,
+    with eps = -1 when mu, nu != 0 and mu != nu, makes the decoder a sum of
+    16 Pauli strings; each transpose is a sign per Y factor.
     """
-    dim = 2 ** (n + 1)
-    total = np.zeros((dim, dim), dtype=np.complex128)
+    others = [s for s in range(1, n + 1) if s != pair_slot]
+    transposed = sum(1 for s in others if s not in plain_slots)
+    total = np.zeros((2 ** (n + 1),) * 2, dtype=np.complex128)
     for mu in range(4):
-        term = embed_operator(bell_projector(mu), [0, pair_slot], n + 1)
-        for slot in range(1, n + 1):
-            if slot == pair_slot:
-                continue
-            sig = SIGMA[mu] if slot in plain_slots else SIGMA[mu].T
-            term = term @ embed_operator(sig, [slot], n + 1)
-        total += alphas[mu] * term
+        for nu in range(4):
+            sign = -1 if mu and nu and mu != nu else 1
+            if nu == 2:  # sigma_nu^T on the pair slot
+                sign = -sign
+            if mu == 2:  # sigma_mu^T on every keyed slot
+                sign *= (-1) ** transposed
+            factors = {0: nu, pair_slot: nu} | dict.fromkeys(others, mu)
+            string = PauliString.from_factors(factors, alphas[mu] * sign / 4)
+            total += string.to_matrix(n + 1)
     return total
 
 
@@ -296,13 +292,6 @@ def encode(state: StateVector, config: ProtocolConfig) -> StateVector:
     u = encoding_unitary(config.n, config.t, config.variant)
     targets = [layout.data] + [layout.signal(i) for i in range(1, config.n + 1)]
     return apply_unitary(state, u, targets)
-
-
-def run_channel(config: ProtocolConfig, psi: StateVector | None, keep_roles) -> DensityOperator:
-    """Prepare, encode, and reduce onto the listed roles."""
-    state = encode(prepare_initial(config, psi), config)
-    keep = state.layout.indices(keep_roles)
-    return partial_trace(state, keep)
 
 
 # Residual density operators are only materialised for registers this small;
@@ -481,13 +470,6 @@ class IteratedCloningPlan:
     @property
     def num_qubits(self) -> int:
         return self.layout.num_qubits
-
-    @property
-    def noise_qubits(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for step in self.steps:
-            out.extend(step.noises)
-        return tuple(sorted(out))
 
     def ancestry(self, clone: int) -> tuple[tuple[CloningStep, int], ...]:
         """(step, role) pairs from the leaf level up; role 0 means the data

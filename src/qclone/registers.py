@@ -128,9 +128,6 @@ class RegisterLayout:
                 return role
         raise RegisterError(f"no role at position {position}")
 
-    def has_role(self, role: str) -> bool:
-        return role in self._index
-
     @property
     def data(self) -> int:
         return self.index(ROLE_DATA)
@@ -144,13 +141,6 @@ class RegisterLayout:
 
     def noise(self, i: int) -> int:
         return self.index(noise_role(i))
-
-    @property
-    def num_pairs(self) -> int:
-        n = 0
-        while self.has_role(signal_role(n + 1)):
-            n += 1
-        return n
 
     def indices(self, roles) -> tuple[int, ...]:
         return tuple(self.index(r) for r in roles)

@@ -61,11 +61,6 @@ class StateVector:
     def num_qubits(self) -> int:
         return self.layout.num_qubits
 
-    def density(self) -> "DensityOperator":
-        return DensityOperator(
-            np.outer(self.amplitudes, self.amplitudes.conj()), self.layout
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
@@ -172,7 +167,7 @@ def _contract(tensor: np.ndarray, u: np.ndarray, targets: tuple[int, ...], n: in
     return np.moveaxis(out, list(range(k)), qubit_axes)
 
 
-def apply_unitary(state: State, u, targets) -> State:
+def apply_unitary(state: StateVector, u, targets) -> StateVector:
     """Apply a k-qubit unitary to ``targets`` (ordered, little-endian in u)."""
     targets = tuple(int(q) for q in targets)
     n = state.num_qubits
@@ -185,53 +180,16 @@ def apply_unitary(state: State, u, targets) -> State:
         raise StateValidationError(
             f"operator dimension {u.shape[0]} does not fit {len(targets)} targets"
         )
-    if isinstance(state, StateVector):
-        psi = state.amplitudes.reshape([2] * n)
-        out = _contract(psi, u, targets, n)
-        return StateVector(out.reshape(-1), state.layout)
-    # rho -> U rho U+, one index at a time: M -> (U (U M)+)+.
-    dim = 2**n
-    work = state.matrix
-    for _ in range(2):
-        work = _contract(work.reshape([2] * n + [dim]), u, targets, n)
-        work = work.reshape(dim, dim).conj().T
-    return DensityOperator(work, state.layout)
-
-
-def embed_operator(op, targets, num_qubits: int) -> np.ndarray:
-    """Dense 2^n x 2^n embedding of a k-qubit operator (need not be unitary)."""
-    targets = tuple(int(q) for q in targets)
-    k = len(targets)
-    op = np.asarray(op, dtype=np.complex128)
-    if op.shape != (2**k, 2**k):
-        raise StateValidationError(f"operator shape {op.shape} does not fit {k} targets")
-    n = num_qubits
-    rest = [q for q in range(n) if q not in targets]
-    rest_idx = np.arange(2 ** len(rest))
-    spread = np.zeros_like(rest_idx)
-    for m, q in enumerate(rest):
-        spread |= ((rest_idx >> m) & 1) << q
-    full = np.zeros((2**n, 2**n), dtype=np.complex128)
-    for r_sub in range(2**k):
-        row_base = 0
-        for m in range(k):
-            row_base |= ((r_sub >> m) & 1) << targets[m]
-        for c_sub in range(2**k):
-            v = op[r_sub, c_sub]
-            if v == 0:
-                continue
-            col_base = 0
-            for m in range(k):
-                col_base |= ((c_sub >> m) & 1) << targets[m]
-            full[row_base + spread, col_base + spread] = v
-    return full
+    psi = state.amplitudes.reshape([2] * n)
+    out = _contract(psi, u, targets, n)
+    return StateVector(out.reshape(-1), state.layout)
 
 
 # ---------------------------------------------------------------------------
 # reductions and functionals
 
 
-def partial_trace(state: State, keep) -> DensityOperator:
+def partial_trace(state: StateVector, keep) -> DensityOperator:
     """Reduced density operator on ``keep`` (qubit positions, any order).
 
     The surviving qubits are re-indexed in ascending physical order and keep
@@ -244,23 +202,11 @@ def partial_trace(state: State, keep) -> DensityOperator:
     if any(q < 0 or q >= n for q in keep):
         raise StateValidationError(f"keep set {keep} out of range for {n} qubits")
     traced = [q for q in range(n) if q not in keep]
-    sub_layout = state.layout.restricted_to(keep)
-    m = len(keep)
-    dim = 2**m
-    if isinstance(state, StateVector):
-        psi = state.amplitudes.reshape([2] * n)
-        keep_axes = [n - 1 - q for q in reversed(keep)]
-        rest_axes = [n - 1 - q for q in reversed(traced)]
-        mat = psi.transpose(keep_axes + rest_axes).reshape(dim, -1)
-        return DensityOperator(mat @ mat.conj().T, sub_layout)
-    rho = state.matrix.reshape([2] * (2 * n))
-    remaining = n
-    for q in sorted(traced, reverse=True):
-        # Tracing from the top down keeps each lower qubit's axis position.
-        ax = remaining - 1 - q
-        rho = np.trace(rho, axis1=ax, axis2=ax + remaining)
-        remaining -= 1
-    return DensityOperator(rho.reshape(dim, dim), sub_layout)
+    psi = state.amplitudes.reshape([2] * n)
+    keep_axes = [n - 1 - q for q in reversed(keep)]
+    rest_axes = [n - 1 - q for q in reversed(traced)]
+    mat = psi.transpose(keep_axes + rest_axes).reshape(2 ** len(keep), -1)
+    return DensityOperator(mat @ mat.conj().T, state.layout.restricted_to(keep))
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unitary
+from conftest import embed_operator, random_unitary
 from qclone.circuits import (
     CIRCUIT_EQUIV_ATOL,
     RECONSTRUCT_MAX_QUBITS,
@@ -22,20 +22,19 @@ from qclone.circuits import (
     controlled_u_qasm_lines,
     equivalence_up_to_global_phase,
     export_circuit,
-    gate_2q,
     gate_cnot,
     gate_cu,
     gate_h,
     gate_phase,
     gate_rz,
     gate_x,
-    gate_z,
     parse_circuit_text,
-    structurally_equal,
     zyz_angles,
 )
+from qclone.compiler import compile_decoding, compile_encoding
+from qclone.protocol import AlphaCoefficients, Variant
 from qclone.registers import RegisterLayout
-from qclone.states import StateVector, apply_unitary, basis_state, embed_operator
+from qclone.states import StateVector, apply_unitary, basis_state
 
 
 def _rz(theta: float) -> np.ndarray:
@@ -116,7 +115,7 @@ def test_gate_matrix_is_defensively_frozen():
 def _random_circuit(rng: np.random.Generator, n: int, depth: int) -> GateCircuit:
     gates = []
     for _ in range(depth):
-        choice = rng.integers(0, 8)
+        choice = rng.integers(0, 6)
         q = int(rng.integers(0, n))
         q2 = int(rng.integers(0, n - 1))
         q2 = q2 if q2 != q else n - 1
@@ -125,17 +124,13 @@ def _random_circuit(rng: np.random.Generator, n: int, depth: int) -> GateCircuit
         elif choice == 1:
             gates.append(gate_x(q))
         elif choice == 2:
-            gates.append(gate_z(q))
-        elif choice == 3:
             gates.append(gate_rz(q, float(rng.uniform(-3, 3))))
-        elif choice == 4:
+        elif choice == 3:
             gates.append(gate_phase(q, float(rng.uniform(-3, 3))))
-        elif choice == 5:
+        elif choice == 4:
             gates.append(gate_cnot(q, q2))
-        elif choice == 6:
-            gates.append(gate_cu(q, q2, random_unitary(rng, 2)))
         else:
-            gates.append(gate_2q(q, q2, random_unitary(rng, 4)))
+            gates.append(gate_cu(q, q2, random_unitary(rng, 2)))
     return GateCircuit(tuple(gates), n)
 
 
@@ -152,10 +147,6 @@ def test_reconstruction_cap():
     wide = GateCircuit((gate_h(0),), RECONSTRUCT_MAX_QUBITS + 1)
     with pytest.raises(CircuitError):
         circuit_to_unitary(wide)
-    # explicit cap argument overrides the default
-    assert circuit_to_unitary(wide, max_qubits=RECONSTRUCT_MAX_QUBITS + 1).shape == (
-        2 ** (RECONSTRUCT_MAX_QUBITS + 1),
-    ) * 2
 
 
 def test_apply_circuit_matches_dense_action(rng):
@@ -193,18 +184,10 @@ def test_apply_circuit_rejects_short_wire_map():
         apply_circuit(state, circuit, wire_map=[0])
 
 
-def test_dagger_inverts(rng):
-    circuit = _random_circuit(rng, 3, 10)
-    u = circuit_to_unitary(circuit)
-    udag = circuit_to_unitary(circuit.dagger())
-    assert np.allclose(udag, u.conj().T, atol=1e-12)
-    assert np.allclose(udag @ u, np.eye(8), atol=1e-12)
-
-
 def test_then_concatenates(rng):
     a = _random_circuit(rng, 3, 5)
     b = _random_circuit(rng, 3, 5)
-    ab = a.then(b)
+    ab = GateCircuit(a.gates + b.gates, 3)
     assert len(ab) == len(a) + len(b)
     # b acts after a, so its matrix stands to the left
     assert np.allclose(
@@ -212,8 +195,6 @@ def test_then_concatenates(rng):
         circuit_to_unitary(b) @ circuit_to_unitary(a),
         atol=1e-12,
     )
-    with pytest.raises(CircuitError):
-        a.then(_random_circuit(rng, 2, 3))
 
 
 def test_gate_counts():
@@ -226,17 +207,7 @@ def test_gate_counts():
 
 
 # ---------------------------------------------------------------------------
-# structural and unitary equivalence
-
-
-def test_structurally_equal_and_not():
-    a = GateCircuit((gate_h(0), gate_rz(1, 0.5)), 2)
-    b = GateCircuit((gate_h(0), gate_rz(1, 0.5)), 2)
-    assert structurally_equal(a, b)
-    assert not structurally_equal(a, GateCircuit((gate_h(0), gate_rz(1, 0.6)), 2))
-    assert not structurally_equal(a, GateCircuit((gate_h(1), gate_rz(1, 0.5)), 2))
-    assert not structurally_equal(a, GateCircuit((gate_h(0),), 2))
-    assert not structurally_equal(a, GateCircuit(a.gates, 3))
+# unitary equivalence
 
 
 def test_equivalence_detects_global_phase(rng):
@@ -275,25 +246,33 @@ def test_text_round_trip_every_gate_kind(rng):
         (
             gate_h(0),
             gate_x(1),
-            gate_z(2),
             gate_rz(0, -1.2345678901234567),
             gate_phase(1, math.pi / 7),
             gate_cnot(2, 0),
             gate_cu(0, 1, random_unitary(rng, 2)),
-            gate_2q(1, 2, random_unitary(rng, 4)),
+            gate_cu(2, 1, np.array([[-1.0, -0.0], [-0.0, 1.0]])),  # signed zeros
         ),
         3,
     )
     text = export_circuit(circuit, "TEXT")
-    parsed = parse_circuit_text(text)
     # repr-based float formatting makes the round trip exact, not approximate
-    assert structurally_equal(parsed, circuit)
+    assert export_circuit(parse_circuit_text(text), "TEXT") == text
+    assert "-0.0" in text
 
 
 def test_text_round_trip_is_stable(rng):
     circuit = _random_circuit(rng, 3, 15)
     text = export_circuit(circuit, "TEXT")
     assert export_circuit(parse_circuit_text(text), "TEXT") == text
+
+
+@pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.ROTATED_X2])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_compiled_circuits_re_export_byte_for_byte(n, variant):
+    alphas = AlphaCoefficients.for_angle(n, math.pi / 4, variant)
+    for circuit in (compile_encoding(n, math.pi / 4, variant), compile_decoding(n, alphas)):
+        text = export_circuit(circuit, "TEXT")
+        assert export_circuit(parse_circuit_text(text), "TEXT") == text
 
 
 def test_text_parser_rejects_garbage():
@@ -318,7 +297,7 @@ def test_unknown_export_format():
 
 def test_qasm_header_and_simple_gates():
     circuit = GateCircuit(
-        (gate_h(0), gate_x(1), gate_z(0), gate_rz(1, 0.25), gate_phase(0, 0.5), gate_cnot(0, 1)),
+        (gate_h(0), gate_x(1), gate_rz(1, 0.25), gate_phase(0, 0.5), gate_cnot(0, 1)),
         2,
     )
     qasm = export_circuit(circuit, "OPENQASM2")
@@ -328,16 +307,9 @@ def test_qasm_header_and_simple_gates():
     assert lines[2] == "qreg q[2];"
     assert "h q[0];" in lines
     assert "x q[1];" in lines
-    assert "z q[0];" in lines
     assert "rz(0.25) q[1];" in lines
     assert "u1(0.5) q[0];" in lines
     assert "cx q[0],q[1];" in lines
-
-
-def test_qasm_rejects_generic_two_qubit_gate(rng):
-    circuit = GateCircuit((gate_2q(0, 1, random_unitary(rng, 4)),), 2)
-    with pytest.raises(CircuitExportError):
-        export_circuit(circuit, "OPENQASM2")
 
 
 def test_qasm_lowers_controlled_u_to_qelib_gates(rng):

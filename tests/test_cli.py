@@ -124,6 +124,15 @@ def test_demo_out_into_missing_directory(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_compile_out_into_missing_directory(capsys, tmp_path):
+    missing = tmp_path / "missing"
+    code, out, err = run_cli(capsys, "compile", "--n", "2", "--out", str(missing))
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert f"output directory {missing} does not exist" in err
+    assert ".tmp" not in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

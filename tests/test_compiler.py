@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unitary
+from conftest import embed_operator, random_unitary
 from qclone.circuits import (
     GateCircuit,
     circuit_to_unitary,
@@ -36,7 +36,6 @@ from qclone.protocol import (
 )
 from qclone.states import (
     StateValidationError,
-    embed_operator,
     fidelity_pure,
     haar_random_qubit,
     partial_trace,

@@ -3,15 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclone.paulis import (
-    SIGMA,
-    PauliError,
-    PauliString,
-    embed_pauli,
-    pauli_on,
-    pauli_string_unitary,
-)
+from conftest import embed_operator
+from qclone.paulis import SIGMA, PauliError, PauliString
 from qclone.registers import RegisterLayout
+
+
+def kron_oracle(factors: dict[int, int], num_qubits: int) -> np.ndarray:
+    """prod_q sigma_{factors[q]} built with np.kron, qubit 0 rightmost."""
+    mat = np.eye(1, dtype=np.complex128)
+    for q in range(num_qubits):
+        mat = np.kron(SIGMA[factors.get(q, 0)], mat)
+    return mat
 
 
 def test_sigma_matrices_are_involutions_and_traceless():
@@ -24,76 +26,65 @@ def test_sigma_matrices_are_involutions_and_traceless():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    mus=st.lists(st.integers(0, 3), min_size=2, max_size=2),
-    nus=st.lists(st.integers(0, 3), min_size=2, max_size=2),
+    factors=st.dictionaries(st.integers(0, 3), st.integers(0, 3), max_size=4),
+    scalar=st.sampled_from([1.0, -1.0, 1j, -1j, 0.25 - 0.5j]),
 )
-def test_product_tracks_phases_against_dense_oracle(mus, nus):
-    """(scalar, factors) multiplication must equal the dense matrix product."""
-    a = PauliString.from_map({q: m for q, m in enumerate(mus)})
-    b = PauliString.from_map({q: m for q, m in enumerate(nus)})
-    product = a * b
-    dense = a.to_matrix(2) @ b.to_matrix(2)
-    assert np.allclose(product.to_matrix(2), dense, atol=1e-14)
+def test_to_matrix_matches_kron_oracle(factors, scalar):
+    """The mask form's phase bookkeeping (one i per Y) reproduces the Kronecker product."""
+    string = PauliString.from_factors(factors, scalar)
+    assert np.array_equal(string.to_matrix(4), scalar * kron_oracle(factors, 4))
 
 
 @settings(max_examples=40, deadline=None)
 @given(factors=st.dictionaries(st.integers(0, 3), st.integers(0, 3), max_size=4))
 def test_transpose_flips_sign_per_y_factor(factors):
-    string = PauliString.from_map(factors)
+    """The rule the dense decoder relies on: sigma^T = (-1)^(#Y) sigma."""
+    dense = PauliString.from_factors(factors).to_matrix(4)
     y_count = sum(1 for mu in factors.values() if mu == 2)
-    transposed = string.transpose()
-    assert np.allclose(
-        transposed.to_matrix(4), string.to_matrix(4).T, atol=1e-14
-    )
-    assert transposed.scalar == pytest.approx((-1) ** y_count * string.scalar)
-
-
-def test_conjugate_matches_dense():
-    string = PauliString.from_map({0: 2, 1: 1}, scalar=1j)
-    assert np.allclose(string.conjugate().to_matrix(2), string.to_matrix(2).conj())
+    assert np.allclose(dense.T, (-1) ** y_count * dense, atol=1e-14)
 
 
 def test_uniform_string_and_known_identity():
     """sigma_x^(x)m . sigma_z^(x)m = (-i)^m sigma_y^(x)m, checked densely."""
     for m in (1, 2, 3):
         qubits = range(m)
-        xs = PauliString.uniform(1, qubits)
-        zs = PauliString.uniform(3, qubits)
-        ys = PauliString.uniform(2, qubits, scalar=(-1j) ** m)
-        assert np.allclose(
-            (xs * zs).to_matrix(m), ys.to_matrix(m), atol=1e-14
-        )
+        xs = PauliString.uniform(1, qubits).to_matrix(m)
+        zs = PauliString.uniform(3, qubits).to_matrix(m)
+        ys = PauliString.uniform(2, qubits, scalar=(-1j) ** m).to_matrix(m)
+        assert np.allclose(xs @ zs, ys, atol=1e-14)
 
 
 def test_to_matrix_places_low_qubit_on_low_bit():
-    string = PauliString.from_map({0: 1})  # X on qubit 0 of two
+    string = PauliString.from_factors({0: 1})  # X on qubit 0 of two
     dense = string.to_matrix(2)
     assert np.allclose(dense, np.kron(np.eye(2), SIGMA[1]))
-    string_high = PauliString.from_map({1: 1})
+    string_high = PauliString.from_factors({1: 1})
     assert np.allclose(string_high.to_matrix(2), np.kron(SIGMA[1], np.eye(2)))
 
 
 def test_scaled_and_support():
-    string = PauliString.from_map({2: 3, 0: 1})
-    assert string.support == (0, 2)
-    assert string.factor_on(1) == 0
-    doubled = string.scaled(2.0)
-    assert doubled.scalar == pytest.approx(2.0 * string.scalar)
+    string = PauliString.from_factors({2: 3, 0: 1, 1: 0}, scalar=2.0)
+    assert (string.x_mask, string.z_mask) == (0b001, 0b100)
+    assert string.phase == 2.0
+    y = PauliString.from_factors({1: 2})
+    assert (y.x_mask, y.z_mask, y.phase) == (0b10, 0b10, 1j)
 
 
 def test_embed_pauli_and_layout_unitary_agree():
     layout = RegisterLayout.standard(1)  # A=0, S1=1, N1=2
-    string = pauli_on(2, layout.index("S1"))
-    dense = pauli_string_unitary(string, layout)
-    assert np.allclose(dense, embed_pauli(2, 1, 3))
+    string = PauliString.from_factors({layout.index("S1"): 2})
+    assert np.allclose(string.to_matrix(3), embed_operator(SIGMA[2], [1], 3))
 
 
-def test_non_unimodular_scalar_is_not_a_unitary():
-    layout = RegisterLayout.generic(1)
+def test_oversize_string_rejected():
     with pytest.raises(PauliError):
-        pauli_string_unitary(PauliString.from_map({0: 1}, scalar=2.0), layout)
+        PauliString.from_factors({2: 1}).to_matrix(2)
+    with pytest.raises(PauliError):
+        PauliString.uniform(3, range(4)).to_matrix(3)
 
 
 def test_bad_axis_rejected():
     with pytest.raises(PauliError):
-        PauliString.from_map({0: 4})
+        PauliString.from_factors({0: 4})
+    with pytest.raises(PauliError):
+        PauliString.from_factors({-1: 1})

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclone.paulis import SIGMA, PauliString
+from conftest import embed_operator
+from qclone.paulis import SIGMA
 from qclone.protocol import (
+    _decoder_matrix,
     AlphaCoefficients,
     AngleError,
     KeyMaterialError,
@@ -24,7 +26,6 @@ from qclone.protocol import (
     is_accepted_decrypt_angle,
     named_state,
     prepare_initial,
-    run_channel,
 )
 from qclone.states import (
     check_unitary,
@@ -40,6 +41,35 @@ PROTOCOL_T = math.pi / 4
 
 def all_probe_names():
     return ["0", "1", "+", "-", "+i", "-i"]
+
+
+def encoded_marginal(config, psi, keep_roles):
+    """Reduce the freshly encoded register onto the listed roles."""
+    state = encode(prepare_initial(config, psi), config)
+    return partial_trace(state, state.layout.indices(keep_roles))
+
+
+def uniform_kron(mu: int, m: int) -> np.ndarray:
+    out = np.eye(1, dtype=complex)
+    for _ in range(m):
+        out = np.kron(out, SIGMA[mu])
+    return out
+
+
+def decoder_oracle(n, alphas, pair_slot, plain_slots=frozenset()):
+    """sum_mu alpha_mu |phi_mu><phi_mu|(carrier, pair) (x) sigma_mu^(T) on the
+    other slots, as a product of dense embeddings."""
+    dim = 2 ** (n + 1)
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    for mu in range(4):
+        term = embed_operator(bell_projector(mu), [0, pair_slot], n + 1)
+        for slot in range(1, n + 1):
+            if slot == pair_slot:
+                continue
+            sig = SIGMA[mu] if slot in plain_slots else SIGMA[mu].T
+            term = term @ embed_operator(sig, [slot], n + 1)
+        total += alphas[mu] * term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -71,15 +101,17 @@ def test_bell_projectors_resolve_identity():
 @pytest.mark.parametrize("variant", [Variant.STANDARD, Variant.ROTATED_X2])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_encoder_expands_into_four_uniform_pauli_strings(n, variant):
-    """U_enc must equal sum_mu c_mu(t) sigma_mu^(x)(n+1) with the closed-form weights."""
+    """sum_mu c_mu(t) sigma_mu^(x)(n+1) with the closed-form weights equals the
+    product of exponentials (cI - is X^(x)m)(cI - is P^(x)m)."""
     t = 0.37
-    coeffs = expansion_coefficients(n, t, variant)
-    expect = sum(
-        c * PauliString.uniform(mu, range(n + 1)).to_matrix(n + 1)
-        for mu, c in enumerate(coeffs)
-    )
+    m = n + 1
+    c, s = math.cos(t), math.sin(t)
+    second = 2 if variant is Variant.ROTATED_X2 else 3
+    eye = np.eye(2**m)
+    expect = (c * eye - 1j * s * uniform_kron(1, m)) @ (c * eye - 1j * s * uniform_kron(second, m))
     assert np.allclose(encoding_unitary(n, t, variant), expect, atol=1e-12)
-    assert sum(abs(c) ** 2 for c in coeffs) == pytest.approx(1.0, abs=1e-12)
+    coeffs = expansion_coefficients(n, t, variant)
+    assert sum(abs(w) ** 2 for w in coeffs) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -161,7 +193,8 @@ def test_single_pair_clone_leaks_one_axis_before_decoding():
     """With one pair the clone marginal is I/2 + <Y> Y/2: perfectly readable on Y."""
     config = ProtocolConfig(n=1)
     marginals = {
-        name: run_channel(config, named_state(name), ["S1"]) for name in ("+i", "-i", "0", "+")
+        name: encoded_marginal(config, named_state(name), ["S1"])
+        for name in ("+i", "-i", "0", "+")
     }
     assert trace_distance(marginals["+i"], marginals["-i"]) == pytest.approx(1.0, abs=1e-10)
     # the Z and X axes stay hidden
@@ -190,7 +223,7 @@ def test_noise_register_never_touched(n):
     """The encoder acts only on (A, S); the noise marginal stays exactly I/2^n."""
     config = ProtocolConfig(n=n)
     psi = named_state("+")
-    rho = run_channel(config, psi, [f"N{i}" for i in range(1, n + 1)])
+    rho = encoded_marginal(config, psi, [f"N{i}" for i in range(1, n + 1)])
     assert np.allclose(rho.matrix, np.eye(2**n) / 2**n, atol=1e-12)
 
 
@@ -273,6 +306,22 @@ def test_swap_as_a_pauli_correlation_sum():
     )
     total = 0.5 * sum(np.kron(SIGMA[mu], SIGMA[mu]) for mu in range(4))
     assert np.allclose(total, swap, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_decoder_matches_bell_projector_construction(n):
+    for alphas in (AlphaCoefficients.standard(n), AlphaCoefficients.rotated_x2(n)):
+        for target in range(1, n + 1):
+            expect = decoder_oracle(n, alphas, target)
+            assert np.abs(decoding_unitary(n, alphas, target) - expect).max() < 1e-14
+
+
+@pytest.mark.parametrize("n,lost", [(2, {2}), (3, {2, 3}), (4, {3})])
+def test_substitution_decoder_matches_bell_projector_construction(n, lost):
+    for alphas in (AlphaCoefficients.standard(n), AlphaCoefficients.rotated_x2(n)):
+        got = _decoder_matrix(n, alphas, pair_slot=1, plain_slots=frozenset(lost))
+        expect = decoder_oracle(n, alphas, 1, lost)
+        assert np.abs(got - expect).max() < 1e-14
 
 
 def test_decoder_is_unitary_for_both_alpha_families():
