@@ -20,8 +20,8 @@ from qclone.states import (
     dominant_eigenvector,
     haar_random_qubit,
     partial_trace,
+    reduced_trace_distance,
     single_qubit,
-    trace_distance,
 )
 
 
@@ -58,10 +58,10 @@ def main() -> int:
     print("\n4) key consumption — residuals for two orthogonal inputs:")
     a, b = psi.amplitudes
     psi_perp = single_qubit(-np.conj(b), np.conj(a))
-    res_perp = decrypt(
+    post_perp = decrypt(
         encode(prepare_initial(config, psi_perp), config), config, target=1
-    ).residual
-    td = trace_distance(outcome.residual, res_perp)
+    ).post_state
+    td = reduced_trace_distance(outcome.post_state, post_perp, [outcome.carrier])
     print(f"   trace distance = {td:.3e}  (0 = nothing about psi survives)")
 
     val, vec = dominant_eigenvector(outcome.recovered)

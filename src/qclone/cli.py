@@ -68,6 +68,7 @@ from .states import (
     haar_random_qubit,
     partial_trace,
     purity,
+    reduced_trace_distance,
     single_qubit,
     trace_distance,
 )
@@ -240,8 +241,8 @@ def cmd_demo(args) -> int:
     decryptions = []
     flags: set[str] = set()
     min_fidelity = 1.0
-    for i in targets:
-        out = decrypt(state, config, target=i, reference=psi)
+    outcomes = [decrypt(state, config, target=i, reference=psi) for i in targets]
+    for i, out in zip(targets, outcomes):
         decryptions.append(
             {
                 "target": i,
@@ -252,11 +253,14 @@ def cmd_demo(args) -> int:
         flags.update(out.warnings)
         min_fidelity = min(min_fidelity, out.fidelity)
 
-    first = targets[0]
-    residual_a = decrypt(state, config, target=first).residual
+    # Key consumption: what is left besides the decrypted clone must not
+    # depend on the input.
+    first = outcomes[0]
     state_b = encode(prepare_initial(config, orthogonal_state(psi)), config)
-    residual_b = decrypt(state_b, config, target=first).residual
-    key_consumption = trace_distance(residual_a, residual_b)
+    post_b = decrypt(state_b, config, target=targets[0]).post_state
+    key_consumption = reduced_trace_distance(
+        first.post_state, post_b, [first.carrier]
+    )
 
     checks = [
         _check(

@@ -20,6 +20,7 @@ qubit itself can be decrypted against the noise register alone.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -27,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .paulis import SIGMA, PauliString
-from .registers import RegisterLayout
+from .registers import RegisterLayout, check_register_size
 from .states import (
     DensityOperator,
     StateVector,
@@ -294,11 +295,6 @@ def encode(state: StateVector, config: ProtocolConfig) -> StateVector:
     return apply_unitary(state, u, targets)
 
 
-# Residual density operators are only materialised for registers this small;
-# beyond that the full post-decoding state is still available on the outcome.
-RESIDUAL_MAX_QUBITS = 12
-
-
 @dataclass(frozen=True)
 class DecryptionOutcome:
     """What a decryption attempt produced."""
@@ -307,9 +303,19 @@ class DecryptionOutcome:
     recovered: DensityOperator
     recovered_pure: StateVector | None
     fidelity: float | None
-    residual: DensityOperator | None
     post_state: StateVector
+    carrier: int
     warnings: tuple[str, ...] = ()
+
+    @property
+    def residual(self) -> DensityOperator:
+        """Dense reduced state on every qubit but the carrier, built on each read.
+
+        Key consumption is checked without it by ``reduced_trace_distance``
+        on the post states; this is the dense oracle for that check.
+        """
+        others = [q for q in range(self.post_state.num_qubits) if q != self.carrier]
+        return partial_trace(self.post_state, others)
 
 
 def _finish_outcome(
@@ -325,17 +331,13 @@ def _finish_outcome(
     fidelity = None
     if reference is not None:
         fidelity = fidelity_pure(recovered, reference)
-    others = [q for q in range(layout.num_qubits) if q != carrier]
-    residual = None
-    if len(others) <= RESIDUAL_MAX_QUBITS:
-        residual = partial_trace(post, others)
     return DecryptionOutcome(
         target_role=layout.role_at(carrier),
         recovered=recovered,
         recovered_pure=pure,
         fidelity=fidelity,
-        residual=residual,
         post_state=post,
+        carrier=carrier,
         warnings=warnings,
     )
 
@@ -522,6 +524,22 @@ def plan_iterated_cloning(depth: int) -> IteratedCloningPlan:
     )
 
 
+@functools.cache
+def _tree_operators() -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The n=2 encoder, and per ancestry role the operator that undoes it.
+
+    Role 0 (the data slot) is undone by the encoder's adjoint, role i by the
+    decoder targeting signal i.  Every tree step shares these, so they are
+    built once and handed out read-only.
+    """
+    u_enc = encoding_unitary(2, math.pi / 4)
+    alphas = AlphaCoefficients.standard(2)
+    undo = (u_enc.conj().T, *(decoding_unitary(2, alphas, target=i) for i in (1, 2)))
+    for op in (u_enc, *undo):
+        op.setflags(write=False)
+    return u_enc, undo
+
+
 def execute_iterated_cloning(plan: IteratedCloningPlan, psi: StateVector) -> StateVector:
     """Run every encoding step of the plan on psi (x) Bell pairs."""
     if psi.num_qubits != 1:
@@ -529,7 +547,7 @@ def execute_iterated_cloning(plan: IteratedCloningPlan, psi: StateVector) -> Sta
     phi = np.array([1, 0, 0, 1], dtype=np.complex128) * _INV_SQRT2
     groups = [psi.amplitudes] + [phi] * ((plan.num_qubits - 1) // 2)
     state = kron_states(groups, plan.layout)
-    u = encoding_unitary(2, math.pi / 4)
+    u, _ = _tree_operators()
     for step in plan.steps:
         state = apply_unitary(state, u, [step.data, *step.signals])
     return state
@@ -542,6 +560,7 @@ def append_fresh_pair(state: StateVector) -> tuple[StateVector, tuple[int, int]]
     that is deliberately wrong for every clone.
     """
     n = state.num_qubits
+    check_register_size(n + 2)
     phi = np.array([1, 0, 0, 1], dtype=np.complex128) * _INV_SQRT2
     vec = np.kron(phi, state.amplitudes)
     return StateVector(vec, RegisterLayout.generic(n + 2)), (n, n + 1)
@@ -560,16 +579,11 @@ def decrypt_clone(
     — deliberately handing the decoder the wrong key shows that nothing about
     the input leaks without the right one.
     """
-    alphas = AlphaCoefficients.standard(2)
-    u_dec = {i: decoding_unitary(2, alphas, target=i) for i in (1, 2)}
-    u_from_a = encoding_unitary(2, math.pi / 4).conj().T
+    _, undo = _tree_operators()
     carrier = clone
     for step, role in plan.ancestry(clone):
         keys = step.noises
         if key_override and step.level in key_override:
             keys = key_override[step.level]
-        if role == 0:
-            state = apply_unitary(state, u_from_a, [carrier, *keys])
-        else:
-            state = apply_unitary(state, u_dec[role], [carrier, *keys])
+        state = apply_unitary(state, undo[role], [carrier, *keys])
     return _finish_outcome(state, clone, reference)

@@ -12,7 +12,7 @@ edits fail loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
+from math import log2, prod
 
 import numpy as np
 
@@ -124,10 +124,22 @@ def single_qubit(amp0: complex, amp1: complex) -> StateVector:
 
 
 def kron_states(groups, layout: RegisterLayout) -> StateVector:
-    """Tensor ascending register groups together (``groups[0]`` on the low qubits)."""
+    """Tensor ascending register groups together (``groups[0]`` on the low qubits).
+
+    The register cap and the groups' total size are checked against the
+    layout before anything is allocated.
+    """
+    groups = [np.asarray(g, dtype=np.complex128) for g in groups]
+    n = layout.num_qubits
+    check_register_size(n)
+    size = prod(g.size for g in groups)
+    if size != 2**n:
+        raise StateValidationError(
+            f"groups of {size} amplitudes do not match a {n}-qubit layout"
+        )
     vec = np.array([1.0], dtype=np.complex128)
     for g in groups:
-        vec = np.kron(np.asarray(g, dtype=np.complex128), vec)
+        vec = np.kron(g, vec)
     return StateVector(vec, layout)
 
 
@@ -189,24 +201,58 @@ def apply_unitary(state: StateVector, u, targets) -> StateVector:
 # reductions and functionals
 
 
+def _qubit_set(qubits, n: int, what: str) -> tuple[int, ...]:
+    qubits = tuple(sorted(int(q) for q in qubits))
+    if len(set(qubits)) != len(qubits):
+        raise StateValidationError(f"{what} set {qubits} must be distinct")
+    if any(q < 0 or q >= n for q in qubits):
+        raise StateValidationError(f"{what} set {qubits} out of range for {n} qubits")
+    return qubits
+
+
+def _split(state: StateVector, keep: tuple[int, ...]) -> np.ndarray:
+    """Amplitudes as a matrix: rows index ``keep``, columns the other qubits."""
+    n = state.num_qubits
+    traced = [q for q in range(n) if q not in keep]
+    psi = state.amplitudes.reshape([2] * n)
+    keep_axes = [n - 1 - q for q in reversed(keep)]
+    rest_axes = [n - 1 - q for q in reversed(traced)]
+    return psi.transpose(keep_axes + rest_axes).reshape(2 ** len(keep), -1)
+
+
 def partial_trace(state: StateVector, keep) -> DensityOperator:
     """Reduced density operator on ``keep`` (qubit positions, any order).
 
     The surviving qubits are re-indexed in ascending physical order and keep
     their role names.
     """
-    keep = tuple(sorted(int(q) for q in keep))
-    n = state.num_qubits
-    if len(set(keep)) != len(keep) or not keep:
-        raise StateValidationError(f"keep set {keep} must be non-empty and distinct")
-    if any(q < 0 or q >= n for q in keep):
-        raise StateValidationError(f"keep set {keep} out of range for {n} qubits")
-    traced = [q for q in range(n) if q not in keep]
-    psi = state.amplitudes.reshape([2] * n)
-    keep_axes = [n - 1 - q for q in reversed(keep)]
-    rest_axes = [n - 1 - q for q in reversed(traced)]
-    mat = psi.transpose(keep_axes + rest_axes).reshape(2 ** len(keep), -1)
+    keep = _qubit_set(keep, state.num_qubits, "keep")
+    if not keep:
+        raise StateValidationError("keep set must be non-empty")
+    mat = _split(state, keep)
     return DensityOperator(mat @ mat.conj().T, state.layout.restricted_to(keep))
+
+
+def reduced_trace_distance(a: StateVector, b: StateVector, traced) -> float:
+    """Trace distance of the reductions of ``a`` and ``b`` with ``traced`` removed.
+
+    Each reduction is F F^dagger for F the amplitudes as a (kept) x (traced)
+    matrix.  The R factor of a QR of [F_a F_b] maps both into a space of at
+    most 2^(|traced|+1) dimensions with the same spectrum of their difference,
+    so no 2^kept x 2^kept matrix is built and nothing assumes a pure reduction.
+    """
+    if a.num_qubits != b.num_qubits:
+        raise StateValidationError("state sizes differ")
+    n = a.num_qubits
+    traced = _qubit_set(traced, n, "traced")
+    keep = tuple(q for q in range(n) if q not in traced)
+    if not keep:
+        raise StateValidationError(f"traced set {traced} leaves no qubit")
+    r = np.linalg.qr(np.hstack([_split(a, keep), _split(b, keep)]), mode="r")
+    width = 2 ** len(traced)
+    ra, rb = r[:, :width], r[:, width:]
+    eigs = np.linalg.eigvalsh(ra @ ra.conj().T - rb @ rb.conj().T)
+    return float(0.5 * np.abs(eigs).sum())
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

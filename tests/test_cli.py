@@ -3,6 +3,10 @@
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -102,6 +106,15 @@ def test_demo_rotated_variant(capsys):
     code, out, _ = run_cli(capsys, "demo", "--variant", "rotated", "--n", "2")
     assert code == EXIT_OK
     assert load_report(out)["variant"] == "rotated_x2"
+
+
+def test_demo_with_seven_clones_passes(capsys):
+    """Fourteen qubits besides the carrier: no residual density matrix is built."""
+    code, out, _ = run_cli(capsys, "demo", "--n", "7", "--psi=+")
+    assert code == EXIT_OK
+    report = load_report(out)
+    assert report["passed"] is True
+    assert report["key_consumption_trace_distance"] < 1e-14
 
 
 def test_demo_bad_psi_is_an_input_error(capsys):
@@ -319,6 +332,39 @@ def test_register_cap_env_blocks_large_runs(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "demo", "--n", "2")  # needs 5 qubits
     assert code == EXIT_INPUT_ERROR
     assert "error:" in err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ADDRESS_SPACE_LIMIT = 2 << 30
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
+
+
+@pytest.mark.parametrize(
+    "argv", [("iterate", "--k", "3"), ("demo", "--n", "12", "--psi=+")]
+)
+def test_oversized_register_exits_before_allocating(argv):
+    """53 and 25 qubits are refused up front, not after a failed allocation.
+
+    The run is a subprocess with a 2 GiB address-space limit, so a program that
+    allocates first fails with MemoryError instead of exhausting the machine.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env.pop("QCLONE_MAX_QUBITS", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qclone.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == EXIT_INPUT_ERROR, proc.stderr
+    assert "exceeds the cap" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_register_cap_env_bad_value(capsys, monkeypatch):

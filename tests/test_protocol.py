@@ -33,6 +33,7 @@ from qclone.states import (
     haar_random_qubit,
     partial_trace,
     purity,
+    reduced_trace_distance,
     trace_distance,
 )
 
@@ -234,12 +235,16 @@ def test_noise_register_never_touched(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_residual_after_decryption_is_input_independent(n):
     config = ProtocolConfig(n=n)
-    residuals = []
+    outcomes = []
     for name in ("0", "1", "+", "+i"):
         state = encode(prepare_initial(config, named_state(name)), config)
-        residuals.append(decrypt(state, config, target=1).residual)
-    for other in residuals[1:]:
-        assert trace_distance(residuals[0], other) < 1e-10
+        outcomes.append(decrypt(state, config, target=1))
+    first = outcomes[0]
+    for other in outcomes[1:]:
+        assert trace_distance(first.residual, other.residual) < 1e-10
+        assert reduced_trace_distance(
+            first.post_state, other.post_state, [first.carrier]
+        ) < 1e-10
 
 
 def test_decryption_restores_fresh_pads(rng):

@@ -16,6 +16,7 @@ from qclone.states import (
     kron_states,
     partial_trace,
     purity,
+    reduced_trace_distance,
     single_qubit,
     trace_distance,
     von_neumann_entropy,
@@ -68,6 +69,27 @@ def test_density_operator_validation():
         DensityOperator(np.eye(2), layout)  # trace 2
     with pytest.raises(StateValidationError):
         DensityOperator(np.diag([1.5, -0.5]), layout)  # negative eigenvalue
+
+
+def test_kron_states_checks_the_width_before_allocating(monkeypatch):
+    from qclone.registers import (
+        DEFAULT_MAX_QUBITS,
+        RegisterOverflowError,
+        set_max_register_qubits,
+    )
+
+    def no_kron(*_):
+        raise AssertionError("np.kron called before the width check")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    with pytest.raises(StateValidationError, match="do not match"):
+        kron_states([[1, 0], bell_vector()], RegisterLayout.generic(2))
+    set_max_register_qubits(2)
+    try:
+        with pytest.raises(RegisterOverflowError):
+            kron_states([[1, 0], bell_vector()], RegisterLayout.generic(3))
+    finally:
+        set_max_register_qubits(DEFAULT_MAX_QUBITS)
 
 
 def test_kron_states_puts_first_group_on_low_qubits():
@@ -224,6 +246,43 @@ def test_fidelity_and_trace_distance_extremes():
     rho_one = DensityOperator(np.diag([0.0, 1.0]), layout)
     assert trace_distance(rho_zero, rho_one) == pytest.approx(1.0)
     assert trace_distance(rho_zero, rho_zero) == pytest.approx(0.0, abs=1e-12)
+
+
+def haar_state(rng, n: int) -> StateVector:
+    raw = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return StateVector(raw / np.linalg.norm(raw), RegisterLayout.generic(n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("traced", [[0], [2], [0, 2], [1, 2]])
+def test_reduced_trace_distance_matches_dense_reductions(rng, n, traced):
+    a, b = haar_state(rng, n), haar_state(rng, n)
+    keep = [q for q in range(n) if q not in traced]
+    dense = trace_distance(partial_trace(a, keep), partial_trace(b, keep))
+    assert reduced_trace_distance(a, b, traced) == pytest.approx(dense, abs=1e-12)
+    assert reduced_trace_distance(a, a, traced) <= 1e-15
+
+
+def test_reduced_trace_distance_of_orthogonal_kept_parts_is_one(rng):
+    """|chi> (x) |v> against |chi'> (x) |w> with <v|w> = 0, tracing the chi qubit."""
+    chi, chi2 = haar_state(rng, 1), haar_state(rng, 1)
+    v = haar_state(rng, 3).amplitudes
+    w = rng.normal(size=8) + 1j * rng.normal(size=8)
+    w -= np.vdot(v, w) * v
+    w /= np.linalg.norm(w)
+    layout = RegisterLayout.generic(4)
+    a = kron_states([chi.amplitudes, v], layout)
+    b = kron_states([chi2.amplitudes, w], layout)
+    assert reduced_trace_distance(a, b, [0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_reduced_trace_distance_rejects_bad_qubit_sets(rng):
+    a, b = haar_state(rng, 3), haar_state(rng, 3)
+    for traced in ([0, 0], [3], [-1], [0, 1, 2]):
+        with pytest.raises(StateValidationError):
+            reduced_trace_distance(a, b, traced)
+    with pytest.raises(StateValidationError):
+        reduced_trace_distance(a, haar_state(rng, 4), [0])
 
 
 def test_purity_and_dominant_eigenvector(rng):
