@@ -126,6 +126,8 @@ def default_time_grid(points: int = 101, t_max: float = math.pi) -> np.ndarray:
     """Uniform grid on [0, t_max]; the default hits pi/4, pi/2 and 3pi/4 exactly."""
     if points < 1:
         raise AnalysisError(f"need at least one grid point, got {points}")
+    if not math.isfinite(t_max):
+        raise AnalysisError(f"grid end {t_max} is not finite")
     return np.linspace(0.0, t_max, points)
 
 

@@ -2,8 +2,10 @@
 
 Every command is deterministic under a fixed seed, prints floats with 12
 significant digits, writes artifacts atomically (temp file + rename), and
-exits 0 exactly when all of its embedded checks pass.  JSON reports validate
-against the schema shipped in ``qclone/data/report.schema.json``.
+exits 0 exactly when all of its embedded checks pass: 1 when one fails, 2 on
+bad input (one ``error:`` line) and 3 on any other exception (one
+``internal error:`` line, no traceback).  JSON reports validate against the
+schema shipped in ``qclone/data/report.schema.json``.
 """
 from __future__ import annotations
 
@@ -76,6 +78,7 @@ from .states import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 RECOVERY_ATOL = 1e-10
 ITERATED_ATOL = 1e-9
@@ -332,6 +335,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_compile(args) -> int:
     variant = _VARIANTS[args.variant]
+    # The same checks of n and t as every protocol command.
+    ProtocolConfig(n=args.n, t=args.t, variant=variant)
     fmt = args.format.upper()
     ext = {"TEXT": "txt", "OPENQASM2": "qasm"}[fmt]
     outdir = args.out or "."
@@ -644,6 +649,8 @@ def main(argv=None) -> int:
             return EXIT_INPUT_ERROR
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise CliInputError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (
         CliInputError,
@@ -658,6 +665,10 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def entry() -> None:

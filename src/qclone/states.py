@@ -117,7 +117,12 @@ def basis_state(layout: RegisterLayout, index: int = 0) -> StateVector:
 def single_qubit(amp0: complex, amp1: complex) -> StateVector:
     """One-qubit pure state from a pair of amplitudes (normalised here)."""
     vec = np.array([amp0, amp1], dtype=np.complex128)
-    norm = np.linalg.norm(vec)
+    if not np.isfinite(vec).all():
+        raise StateValidationError(f"amplitudes ({amp0}, {amp1}) are not finite")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(vec)
+    if not np.isfinite(norm):
+        raise StateValidationError(f"norm of the amplitudes ({amp0}, {amp1}) overflows")
     if norm == 0:
         raise StateValidationError("zero amplitude pair")
     return StateVector(vec / norm, RegisterLayout.generic(1))

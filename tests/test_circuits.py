@@ -17,6 +17,7 @@ from qclone.circuits import (
     Gate,
     GateCircuit,
     GateKind,
+    _fused_blocks,
     apply_circuit,
     circuit_to_unitary,
     controlled_u_qasm_lines,
@@ -135,12 +136,24 @@ def _random_circuit(rng: np.random.Generator, n: int, depth: int) -> GateCircuit
 
 
 def test_circuit_to_unitary_matches_embedded_product(rng):
-    for n in (2, 3, 4):
-        circuit = _random_circuit(rng, n, 12)
+    # From n = 6 on, 80 gates span many fused blocks, so block boundaries
+    # are crossed; below that a 12-gate circuit is a single block.
+    for n, depth in ((2, 12), (3, 12), (4, 12), (6, 80), (7, 80), (8, 80)):
+        circuit = _random_circuit(rng, n, depth)
+        if n > 5:
+            assert len(list(_fused_blocks(circuit))) > 1
         dense = np.eye(2**n, dtype=np.complex128)
         for g in circuit.gates:
             dense = embed_operator(g.unitary(), g.targets, n) @ dense
-        assert np.allclose(circuit_to_unitary(circuit), dense, atol=1e-12)
+        assert np.allclose(circuit_to_unitary(circuit), dense, rtol=0, atol=1e-12)
+
+
+def test_empty_circuit_is_the_identity(rng):
+    empty = GateCircuit((), 3)
+    assert np.array_equal(circuit_to_unitary(empty), np.eye(8))
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    state = StateVector(amps / np.linalg.norm(amps), RegisterLayout.generic(3))
+    assert np.array_equal(apply_circuit(state, empty).amplitudes, state.amplitudes)
 
 
 def test_reconstruction_cap():
@@ -162,19 +175,19 @@ def test_apply_circuit_matches_dense_action(rng):
 
 
 def test_apply_circuit_with_wire_map(rng):
-    # Routing a 2-wire circuit onto physical qubits (3, 1) of a 4-qubit register
-    # matches embedding each gate by hand on those qubits.
-    circuit = _random_circuit(rng, 2, 8)
-    layout = RegisterLayout.generic(4)
-    amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-    amps /= np.linalg.norm(amps)
-    state = StateVector(amps, layout)
-    wire_map = [3, 1]
-    routed = apply_circuit(state, circuit, wire_map=wire_map)
-    expected = state
-    for g in circuit.gates:
-        expected = apply_unitary(expected, g.unitary(), [wire_map[w] for w in g.targets])
-    assert np.allclose(routed.amplitudes, expected.amplitudes, atol=1e-12)
+    # Routing a circuit onto some physical qubits of a wider register matches
+    # applying each gate by hand on those qubits: a 2-wire circuit onto qubits
+    # (3, 1) of 4, and an 8-wire one of many fused blocks onto 8 of 10.
+    cases = ((2, 8, 4, [3, 1]), (8, 80, 10, [int(q) for q in rng.permutation(10)[:8]]))
+    for wires, depth, n, wire_map in cases:
+        circuit = _random_circuit(rng, wires, depth)
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = StateVector(amps / np.linalg.norm(amps), RegisterLayout.generic(n))
+        routed = apply_circuit(state, circuit, wire_map=wire_map)
+        expected = state
+        for g in circuit.gates:
+            expected = apply_unitary(expected, g.unitary(), [wire_map[w] for w in g.targets])
+        assert np.allclose(routed.amplitudes, expected.amplitudes, rtol=0, atol=1e-12)
 
 
 def test_apply_circuit_rejects_short_wire_map():
@@ -182,6 +195,15 @@ def test_apply_circuit_rejects_short_wire_map():
     state = basis_state(RegisterLayout.generic(2))
     with pytest.raises(CircuitError):
         apply_circuit(state, circuit, wire_map=[0])
+
+
+def test_apply_circuit_rejects_repeated_wire_map_qubit():
+    # Two one-qubit gates share a fused block, so the repeat is refused up
+    # front rather than depending on where block boundaries fall.
+    circuit = GateCircuit((gate_h(0), gate_h(1)), 2)
+    state = basis_state(RegisterLayout.generic(2))
+    with pytest.raises(CircuitError, match="repeats"):
+        apply_circuit(state, circuit, wire_map=[1, 1])
 
 
 def test_then_concatenates(rng):

@@ -11,10 +11,14 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from qclone import cli
 from qclone.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_OK,
     CliInputError,
     main,
@@ -365,6 +369,93 @@ def test_oversized_register_exits_before_allocating(argv):
     assert proc.returncode == EXIT_INPUT_ERROR, proc.stderr
     assert "exceeds the cap" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("demo", "--seed", "-1"),
+        ("iterate", "--seed", "-5"),
+        ("variants", "--seed", "-1"),
+        ("compile", "--n", "2", "--t", "inf"),
+        ("compile", "--n", "2", "--t", "nan", "--what", "enc"),
+        ("compile", "--n", "1", "--t", "1e308", "--what", "enc"),
+        ("sweep", "--tmax", "inf"),
+        ("demo", "--psi", "nan,0"),
+        ("demo", "--psi", "1e308,1e308"),
+    ],
+)
+def test_bad_numeric_input_is_one_error_line(capsys, tmp_path, argv):
+    """Rejected up front: no uncaught ValueError, no failed check, no warning."""
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_unexpected_exception_exits_3_on_one_line(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("something\nbroke")
+
+    monkeypatch.setattr(cli, "cmd_demo", broken)
+    code, out, err = run_cli(capsys, "demo")
+    assert code == EXIT_INTERNAL_ERROR
+    assert out == ""
+    assert err == "internal error: RuntimeError: something broke\n"
+
+
+_FUZZ_FLOATS = st.one_of(
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324, 0.0, math.pi / 4]
+    ),
+    st.floats(),
+)
+_FUZZ_SEEDS = st.integers(-(2**40), 2**40)
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A command with some of its options, at widths far below the cap."""
+    ints = st.integers
+    psi = st.one_of(
+        st.sampled_from(["0", "1", "+", "-", "+i", "-i", "zebra", "1,2,3"]),
+        st.lists(_FUZZ_FLOATS, min_size=2, max_size=2).map(lambda v: ",".join(map(repr, v))),
+        st.lists(_FUZZ_FLOATS, min_size=4, max_size=4).map(lambda v: ",".join(map(repr, v))),
+    )
+    variant = st.sampled_from(["standard", "rotated"])
+    options = {
+        "demo": {"n": ints(-1, 4), "t": _FUZZ_FLOATS, "psi": psi, "seed": _FUZZ_SEEDS,
+                 "target": ints(-1, 5), "variant": variant},
+        "compile": {"n": ints(-1, 5), "t": _FUZZ_FLOATS, "variant": variant,
+                    "what": st.sampled_from(["enc", "dec", "both"]),
+                    "format": st.sampled_from(["text", "openqasm2"])},
+        "audit": {"n": ints(-1, 3)},
+        "iterate": {"k": ints(-1, 1), "psi": psi, "seed": _FUZZ_SEEDS},
+        "sweep": {"n": ints(-1, 2), "points": ints(-1, 5), "tmax": _FUZZ_FLOATS},
+        "variants": {"seed": _FUZZ_SEEDS},
+    }
+    command = draw(st.sampled_from(sorted(options)))
+    argv = [command]
+    for name, strategy in options[command].items():
+        if draw(st.booleans()):
+            value = draw(strategy)
+            argv.append(f"--{name}={value!r}" if isinstance(value, float) else f"--{name}={value}")
+    return argv
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_fuzz_argv())
+def test_fuzzed_argv_exits_with_a_documented_code(capsys, tmp_path, argv):
+    if argv[0] == "compile":
+        argv.append(f"--out={tmp_path}")
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR), err
+    assert "Traceback" not in err
 
 
 def test_register_cap_env_bad_value(capsys, monkeypatch):
