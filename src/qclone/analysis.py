@@ -19,25 +19,24 @@ from itertools import product
 
 import numpy as np
 
-from .registers import ROLE_DATA, ROLE_REFERENCE, noise_role, signal_role
+from .claims import FORMULA_SIM_ATOL, Check, check
+from .registers import ROLE_DATA, ROLE_REFERENCE, RegisterLayout, noise_role, signal_role
 from .states import (
     DensityOperator,
     StateVector,
+    kron_states,
     partial_trace,
     trace_distance,
     von_neumann_entropy,
 )
 from .protocol import (
     ProtocolConfig,
-    Variant,
+    bell_pair_vector,
     default_probe_states,
     encode,
     prepare_initial,
 )
 
-FORMULA_SIM_ATOL = 1e-9
-ENCRYPTION_ATOL = 1e-10
-NOISE_EXACT_ATOL = 1e-12
 _LOG_CLAMP = 1e-12
 
 
@@ -97,14 +96,23 @@ class SweepRow:
             )
 
 
+def _purified_register(n: int) -> StateVector:
+    """n + 1 Bell pairs: (REF, A), then every (S_i, N_i).
+
+    The data qubit enters maximally entangled with a purifying reference, on
+    the standard layout with ``REF`` at position 0.
+    """
+    layout = RegisterLayout.standard(n, with_reference=True)
+    return kron_states([bell_pair_vector()] * (n + 1), layout)
+
+
 def coherent_information_simulated(n: int, t: float) -> SweepRow:
     """Simulate the channel with a purifying reference and take entropies.
 
     The joint block is (reference, S1, N1..Nn); dropping the reference gives
     the marginal block.  Their entropy difference is the coherent information.
     """
-    cfg = ProtocolConfig(n=n, t=t, variant=Variant.WITH_REFERENCE)
-    state = encode(prepare_initial(cfg, None), cfg)
+    state = encode(_purified_register(n), ProtocolConfig(n=n, t=t))
     layout = state.layout
     marginal_roles = [signal_role(1)] + [noise_role(j) for j in range(1, n + 1)]
     joint_roles = [ROLE_REFERENCE] + marginal_roles
@@ -158,22 +166,13 @@ def rows_to_csv(rows) -> str:
 
 
 @dataclass(frozen=True)
-class AuditClaim:
-    name: str
-    passed: bool
-    value: float
-    threshold: float
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class AuditReport:
     """Subsystem-by-subsystem verdict on the perfect-encryption claims."""
 
     n: int
     marginal_deviations: dict[str, float]
     independence_distances: dict[str, float]
-    claims: tuple[AuditClaim, ...]
+    claims: tuple[Check, ...]
     passed: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -254,49 +253,15 @@ def encryption_audit(n: int, psi_set: list[StateVector] | None = None) -> AuditR
     indep_worst = max(independence_distances.values())
 
     claims = [
-        AuditClaim(
-            name="signal-marginals-maximally-mixed",
-            passed=signal_dev < ENCRYPTION_ATOL,
-            value=signal_dev,
-            threshold=ENCRYPTION_ATOL,
-            detail="max entrywise deviation of any single clone marginal from I/2",
-        ),
-        AuditClaim(
-            name="data-marginal-maximally-mixed",
-            passed=data_dev < ENCRYPTION_ATOL,
-            value=data_dev,
-            threshold=ENCRYPTION_ATOL,
-            detail="max entrywise deviation of the post-encoding data qubit from I/2",
-        ),
-        AuditClaim(
-            name="unauthorized-sets-input-independent",
-            passed=indep_worst < ENCRYPTION_ATOL,
-            value=indep_worst,
-            threshold=ENCRYPTION_ATOL,
-            detail="max trace distance across probe inputs over all unauthorized sets",
-        ),
-        AuditClaim(
-            name="noise-register-untouched",
-            passed=noise_dev < NOISE_EXACT_ATOL,
-            value=noise_dev,
-            threshold=NOISE_EXACT_ATOL,
-            detail="the encoder never acts on noise qubits; their state stays (I/2)^n",
-        ),
+        check("signal-marginals-maximally-mixed", signal_dev),
+        check("data-marginal-maximally-mixed", data_dev),
+        check("unauthorized-sets-input-independent", indep_worst),
+        check("noise-register-untouched", noise_dev),
     ]
     if n == 1:
         # Single-pair counterexample: the clone leaks the input's Y component.
-        clone_states = [partial_trace(s, [layout.signal(1)]) for s in encoded]
-        leak = _max_pairwise_distance(clone_states)
-        claims.append(
-            AuditClaim(
-                name="single-pair-clone-leaks-input",
-                passed=leak > ENCRYPTION_ATOL,
-                value=leak,
-                threshold=ENCRYPTION_ATOL,
-                detail="n=1 is recoverable but not fully encrypted; the clone"
-                " marginal must visibly depend on the input",
-            )
-        )
+        clones = [partial_trace(s, [layout.signal(1)]) for s in encoded]
+        claims.append(check("single-pair-clone-leaks-input", _max_pairwise_distance(clones)))
     return AuditReport(
         n=n,
         marginal_deviations=marginal_deviations,

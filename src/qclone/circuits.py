@@ -14,9 +14,9 @@ from enum import Enum
 
 import numpy as np
 
+from .claims import CIRCUIT_EQUIV_ATOL
 from .states import StateVector, _contract, apply_unitary, check_unitary
 
-CIRCUIT_EQUIV_ATOL = 1e-8
 RECONSTRUCT_MAX_QUBITS = 12
 # Most wires one fused block of consecutive gates may touch.  A pass over the
 # 2^n batch costs about the same for any small block, because the time goes
@@ -226,14 +226,12 @@ class EquivalenceResult:
 
 
 def equivalence_up_to_global_phase(u, v, atol: float = CIRCUIT_EQUIV_ATOL) -> EquivalenceResult:
-    """Is u = phase * v?  The phase is read off the largest entry of v+u."""
+    """Is u = phase * v?  The phase is read off tr(v+ u), with no matrix product."""
     u = np.asarray(u, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
     if u.shape != v.shape or u.ndim != 2:
         raise CircuitError(f"shape mismatch: {u.shape} vs {v.shape}")
-    w = v.conj().T @ u
-    flat = np.argmax(np.abs(w))
-    pivot = w.flat[flat]
+    pivot = np.vdot(v, u)
     if abs(pivot) < 1e-14:
         return EquivalenceResult(False, 1.0 + 0j, float(np.abs(u - v).max()))
     phase = pivot / abs(pivot)

@@ -15,13 +15,13 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from importlib import resources
 
 import jsonschema
 import numpy as np
 
 from .analysis import (
-    ENCRYPTION_ATOL,
     AnalysisError,
     default_time_grid,
     encryption_audit,
@@ -29,18 +29,13 @@ from .analysis import (
     sweep_coherent_information,
 )
 from .circuits import (
-    CIRCUIT_EQUIV_ATOL,
     CircuitError,
     circuit_to_unitary,
     equivalence_up_to_global_phase,
     export_circuit,
 )
-from .compiler import (
-    CompileError,
-    compile_decoding,
-    compile_encoding,
-    gate_count_report,
-)
+from .claims import Check, check
+from .compiler import CompileError, GateCountReport, compile_decoding, compile_encoding
 from .paulis import PauliError
 from .protocol import (
     PAULI_EIGENSTATE_AMPLITUDES,
@@ -80,9 +75,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
-RECOVERY_ATOL = 1e-10
-ITERATED_ATOL = 1e-9
-
 
 class CliInputError(ValueError):
     """Malformed command-line input (bad psi spec, bad paths, ...)."""
@@ -97,7 +89,12 @@ def _round12(x: float) -> float:
 
 
 def _canonical(obj):
-    """Round floats to 12 significant digits, recursively; complex -> [re, im]."""
+    """Round floats to 12 significant digits, recursively; complex -> [re, im].
+
+    A check drops its empty fields: a count has no threshold, a verdict no value.
+    """
+    if isinstance(obj, Check):
+        obj = {k: v for k, v in asdict(obj).items() if v is not None and v != ""}
     if isinstance(obj, dict):
         return {str(k): _canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -153,17 +150,6 @@ def _emit_report(report: dict, out: str | None) -> None:
         atomic_write(out, text)
     else:
         sys.stdout.write(text)
-
-
-def _check(name: str, passed, value=None, threshold=None, detail: str = "") -> dict:
-    entry: dict = {"name": name, "passed": bool(passed)}
-    if value is not None:
-        entry["value"] = float(value)
-    if threshold is not None:
-        entry["threshold"] = float(threshold)
-    if detail:
-        entry["detail"] = detail
-    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -266,32 +252,12 @@ def cmd_demo(args) -> int:
     )
 
     checks = [
-        _check(
-            "recovery-fidelity",
-            min_fidelity >= 1 - RECOVERY_ATOL,
-            1 - min_fidelity,
-            RECOVERY_ATOL,
-            "1 - min decryption fidelity over the requested targets",
-        ),
-        _check(
-            "key-consumption-input-independent",
-            key_consumption < RECOVERY_ATOL,
-            key_consumption,
-            RECOVERY_ATOL,
-            "residual trace distance between psi and an orthogonal input",
-        ),
+        check("recovery-fidelity", min_fidelity),
+        check("key-consumption-input-independent", key_consumption),
     ]
     if config.n >= 2:
         worst = max([data_dev, *marginal_devs.values()])
-        checks.append(
-            _check(
-                "encryption-marginals-maximally-mixed",
-                worst < ENCRYPTION_ATOL,
-                worst,
-                ENCRYPTION_ATOL,
-                "max entry deviation of every clone marginal from I/2",
-            )
-        )
+        checks.append(check("encryption-marginals-maximally-mixed", worst))
     else:
         flags.add(
             "not fully encrypted: with a single pair the clone leaks one"
@@ -310,7 +276,7 @@ def cmd_demo(args) -> int:
         "key_consumption_trace_distance": key_consumption,
         "flags": sorted(flags),
         "checks": checks,
-        "passed": all(c["passed"] for c in checks),
+        "passed": all(c.passed for c in checks),
     }
     _emit_report(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
@@ -333,6 +299,21 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _compiled(what: str, n: int, t: float, variant: Variant):
+    """Yield (kind, circuit, dense oracle) for each requested direction.
+
+    Each circuit is compiled only when its turn comes, so the encoder file is
+    written before a decoder that cannot be compiled stops the run.
+    """
+    if what in ("enc", "both"):
+        circuit = compile_encoding(n, t, variant)
+        yield "encoding", circuit, lambda: encoding_unitary(n, t, variant)
+    if what in ("dec", "both"):
+        alphas = AlphaCoefficients.for_angle(n, t, variant)
+        circuit = compile_decoding(n, alphas)
+        yield "decoding", circuit, lambda: decoding_unitary(n, alphas)
+
+
 def cmd_compile(args) -> int:
     variant = _VARIANTS[args.variant]
     # The same checks of n and t as every protocol command.
@@ -340,7 +321,7 @@ def cmd_compile(args) -> int:
     fmt = args.format.upper()
     ext = {"TEXT": "txt", "OPENQASM2": "qasm"}[fmt]
     outdir = args.out or "."
-    checks: list[dict] = []
+    checks: list[Check] = []
     files: list[str] = []
     report: dict = {
         "command": "compile",
@@ -351,84 +332,36 @@ def cmd_compile(args) -> int:
         "what": args.what,
     }
 
-    if args.what in ("enc", "both"):
-        circuit = compile_encoding(args.n, args.t, variant)
-        res = equivalence_up_to_global_phase(
-            circuit_to_unitary(circuit), encoding_unitary(args.n, args.t, variant)
-        )
-        checks.append(
-            _check(
-                "encoding-two-qubit-count",
-                circuit.two_qubit_count == 4 * args.n,
-                circuit.two_qubit_count,
-                detail=f"expected 4n = {4 * args.n}",
-            )
-        )
-        checks.append(
-            _check(
-                "encoding-circuit-equivalence",
-                res.equivalent,
-                res.max_entry_deviation,
-                CIRCUIT_EQUIV_ATOL,
-                "max entry deviation after global-phase alignment",
-            )
-        )
-        path = os.path.join(outdir, f"encoding_n{args.n}.{ext}")
+    for kind, circuit, oracle in _compiled(args.what, args.n, args.t, variant):
+        res = equivalence_up_to_global_phase(circuit_to_unitary(circuit), oracle())
+        checks.append(check(f"{kind}-two-qubit-count", circuit.two_qubit_count, args.n))
+        checks.append(check(f"{kind}-circuit-equivalence", res.max_entry_deviation))
+        path = os.path.join(outdir, f"{kind}_n{args.n}.{ext}")
         atomic_write(path, export_circuit(circuit, fmt))
         files.append(path)
-        report["enc_2q"] = circuit.two_qubit_count
-        report["enc_1q"] = circuit.one_qubit_count
+        report[f"{kind[:3]}_2q"] = circuit.two_qubit_count
+        if kind == "encoding":
+            report["enc_1q"] = circuit.one_qubit_count
 
-    if args.what in ("dec", "both"):
-        alphas = AlphaCoefficients.for_angle(args.n, args.t, variant)
-        circuit = compile_decoding(args.n, alphas)
-        res = equivalence_up_to_global_phase(
-            circuit_to_unitary(circuit), decoding_unitary(args.n, alphas)
-        )
-        checks.append(
-            _check(
-                "decoding-two-qubit-count",
-                circuit.two_qubit_count == 15 * args.n + 7,
-                circuit.two_qubit_count,
-                detail=f"expected 15n+7 = {15 * args.n + 7}",
-            )
-        )
-        checks.append(
-            _check(
-                "decoding-circuit-equivalence",
-                res.equivalent,
-                res.max_entry_deviation,
-                CIRCUIT_EQUIV_ATOL,
-                "max entry deviation after global-phase alignment",
-            )
-        )
-        path = os.path.join(outdir, f"decoding_n{args.n}.{ext}")
-        atomic_write(path, export_circuit(circuit, fmt))
-        files.append(path)
-        report["dec_2q"] = circuit.two_qubit_count
-
-    if args.what == "both" and args.n >= 2:
-        report["counts"] = gate_count_report(args.n).to_dict()
+    if args.what == "both":
+        counts = GateCountReport.from_counts(args.n, report["enc_2q"], report["dec_2q"])
+        report["counts"] = counts.to_dict()
 
     report["files"] = files
     report["checks"] = checks
-    report["passed"] = all(c["passed"] for c in checks)
+    report["passed"] = all(c.passed for c in checks)
     _emit_report(report, None)
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
 def cmd_audit(args) -> int:
     audit = encryption_audit(args.n)
-    checks = [
-        _check(c.name, c.passed, c.value, c.threshold, c.detail)
-        for c in audit.claims
-    ]
     report = {
         "command": "audit",
         "n": audit.n,
         "marginal_deviations": audit.marginal_deviations,
         "independence_distances": audit.independence_distances,
-        "checks": checks,
+        "checks": audit.claims,
         "passed": audit.passed,
     }
     _emit_report(report, args.out)
@@ -442,13 +375,13 @@ def cmd_iterate(args) -> int:
 
     clones = []
     min_fidelity = 1.0
-    key_sizes_ok = True
     for q in plan.clones:
         out = decrypt_clone(plan, state, q, reference=psi)
-        key = plan.key_qubits(q)
-        key_sizes_ok = key_sizes_ok and len(key) == 2 * args.k
-        clones.append({"clone": q, "fidelity": out.fidelity, "key_qubits": list(key)})
+        key = list(plan.key_qubits(q))
+        clones.append({"clone": q, "fidelity": out.fidelity, "key_qubits": key})
         min_fidelity = min(min_fidelity, out.fidelity)
+    # The key size furthest from 2k: one wrong key fails the check.
+    key_size = max((len(c["key_qubits"]) for c in clones), key=lambda s: abs(s - 2 * args.k))
 
     # Hand the last decoding level a Bell pair that is not in the ancestry:
     # whatever comes out must carry no trace of the input.
@@ -463,41 +396,12 @@ def cmd_iterate(args) -> int:
         probe_marginals.append(out.recovered)
     wrong_key_distance = trace_distance(*probe_marginals)
 
-    num_clones = len(plan.clones)
-    num_noise = (plan.num_qubits - 1) // 2
     checks = [
-        _check(
-            "clone-count",
-            num_clones == 3**args.k,
-            num_clones,
-            detail=f"expected 3^k = {3 ** args.k}",
-        ),
-        _check(
-            "noise-count",
-            num_noise == 3**args.k - 1,
-            num_noise,
-            detail=f"expected 3^k - 1 = {3 ** args.k - 1}",
-        ),
-        _check(
-            "key-size",
-            key_sizes_ok,
-            2 * args.k,
-            detail="every clone's key is the 2k noise qubits of its ancestry",
-        ),
-        _check(
-            "ancestry-key-recovery",
-            min_fidelity >= 1 - ITERATED_ATOL,
-            1 - min_fidelity,
-            ITERATED_ATOL,
-            "1 - min decryption fidelity over all clones",
-        ),
-        _check(
-            "wrong-key-output-input-independent",
-            wrong_key_distance < ITERATED_ATOL,
-            wrong_key_distance,
-            ITERATED_ATOL,
-            "trace distance of the wrong-key output between orthogonal inputs",
-        ),
+        check("clone-count", len(plan.clones), args.k),
+        check("noise-count", (plan.num_qubits - 1) // 2, args.k),
+        check("key-size", key_size, args.k),
+        check("ancestry-key-recovery", min_fidelity),
+        check("wrong-key-output-input-independent", wrong_key_distance),
     ]
     report = {
         "command": "iterate",
@@ -507,7 +411,7 @@ def cmd_iterate(args) -> int:
         "clones": clones,
         "wrong_key_trace_distance": wrong_key_distance,
         "checks": checks,
-        "passed": all(c["passed"] for c in checks),
+        "passed": all(c.passed for c in checks),
     }
     _emit_report(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
@@ -515,23 +419,20 @@ def cmd_iterate(args) -> int:
 
 def cmd_variants(args) -> int:
     psi, psi_desc = parse_psi(None, args.seed)
-    checks: list[dict] = []
-
-    def fidelity_check(name: str, fidelity: float, atol: float = RECOVERY_ATOL):
-        checks.append(_check(name, fidelity >= 1 - atol, 1 - fidelity, atol, "1 - fidelity"))
+    checks: list[Check] = []
 
     for n, lost in ((2, (2,)), (3, (2, 3))):
         config = ProtocolConfig(n=n)
         state = encode(prepare_initial(config, psi), config)
         out = decrypt_with_substitution(state, config, lost, target=1, reference=psi)
         lost_label = "".join(f"N{j}" for j in lost)
-        fidelity_check(f"substitution-n{n}-lost-{lost_label}", out.fidelity)
+        checks.append(check(f"substitution-n{n}-lost-{lost_label}", out.fidelity))
 
     for n in (2, 4):
         config = ProtocolConfig(n=n)
         state = encode(prepare_initial(config, psi), config)
         out = decrypt_from_A(state, config, reference=psi)
-        fidelity_check(f"data-side-decrypt-n{n}", out.fidelity)
+        checks.append(check(f"data-side-decrypt-n{n}", out.fidelity))
 
     config3 = ProtocolConfig(n=3)
     state3 = encode(prepare_initial(config3, psi), config3)
@@ -540,39 +441,33 @@ def cmd_variants(args) -> int:
         rejected = False
     except OddCloneCountError:
         rejected = True
-    checks.append(
-        _check(
-            "data-side-decrypt-odd-n-rejected",
-            rejected,
-            detail="n=3 must be refused: the transposed string flips a sign",
-        )
-    )
+    checks.append(check("data-side-decrypt-odd-n-rejected", rejected))
 
     for n in (1, 2, 3):
         config = ProtocolConfig(n=n, t=0.6)  # any angle: plain un-encoding
         state = encode(prepare_initial(config, psi), config)
         out = reverse_encoding_recovery(state, config, reference=psi)
-        fidelity_check(f"reverse-encoding-n{n}", out.fidelity)
+        checks.append(check(f"reverse-encoding-n{n}", out.fidelity))
 
     for n in (2, 3):
         config = ProtocolConfig(n=n, variant=Variant.ROTATED_X2)
         state = encode(prepare_initial(config, psi), config)
         out = decrypt(state, config, target=1, reference=psi)
-        fidelity_check(f"rotated-variant-n{n}", out.fidelity)
+        checks.append(check(f"rotated-variant-n{n}", out.fidelity))
 
     plan = plan_iterated_cloning(1)
     state = execute_iterated_cloning(plan, psi)
     worst = min(
         decrypt_clone(plan, state, q, reference=psi).fidelity for q in plan.clones
     )
-    fidelity_check("iterated-k1-all-clones", worst, ITERATED_ATOL)
+    checks.append(check("iterated-k1-all-clones", worst))
 
     report = {
         "command": "variants",
         "seed": args.seed,
         "psi": _psi_field(psi, psi_desc),
         "checks": checks,
-        "passed": all(c["passed"] for c in checks),
+        "passed": all(c.passed for c in checks),
     }
     _emit_report(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED

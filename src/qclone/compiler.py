@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .claims import cycle_two_qubit_budget, decoding_two_qubit_gates, encoding_two_qubit_gates
 from .circuits import (
     CircuitError,
     Gate,
@@ -32,8 +33,6 @@ from .circuits import (
 from .paulis import SIGMA
 from .protocol import AlphaCoefficients, Variant
 from .states import check_unitary
-
-CCU_EQUIV_ATOL = 1e-10
 
 
 class CompileError(ValueError):
@@ -233,6 +232,10 @@ class GateCountReport:
     total_2q: int  # the "at most 21n + 11" budget for a full cycle
     measured_total: int
 
+    @classmethod
+    def from_counts(cls, n: int, enc_2q: int, dec_2q: int) -> "GateCountReport":
+        return cls(n, enc_2q, dec_2q, cycle_two_qubit_budget(n), enc_2q + dec_2q)
+
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -240,8 +243,8 @@ class GateCountReport:
             "dec_2q": self.dec_2q,
             "total_2q": self.total_2q,
             "measured_total": self.measured_total,
-            "enc_formula_4n": 4 * self.n,
-            "dec_formula_15n_plus_7": 15 * self.n + 7,
+            "enc_formula_4n": encoding_two_qubit_gates(self.n),
+            "dec_formula_15n_plus_7": decoding_two_qubit_gates(self.n),
             "within_budget": self.measured_total <= self.total_2q,
         }
 
@@ -252,10 +255,4 @@ def gate_count_report(n: int) -> GateCountReport:
         raise CompileError(f"reports start at n = 2, got {n}")
     enc = compile_encoding(n, math.pi / 4).two_qubit_count
     dec = compile_decoding(n, AlphaCoefficients.standard(n)).two_qubit_count
-    return GateCountReport(
-        n=n,
-        enc_2q=enc,
-        dec_2q=dec,
-        total_2q=21 * n + 11,
-        measured_total=enc + dec,
-    )
+    return GateCountReport.from_counts(n, enc, dec)

@@ -33,7 +33,6 @@ from .states import (
     DensityOperator,
     StateVector,
     apply_unitary,
-    dominant_eigenvector,
     fidelity_pure,
     kron_states,
     partial_trace,
@@ -61,34 +60,24 @@ class OddCloneCountError(ProtocolError):
 class Variant(Enum):
     STANDARD = "standard"
     ROTATED_X2 = "rotated_x2"
-    WITH_REFERENCE = "with_reference"
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Number of clones, interaction time, encoder family, default target."""
+    """Number of clones, interaction time, encoder family."""
 
     n: int
     t: float = math.pi / 4
     variant: Variant = Variant.STANDARD
-    signal_target: int = 1
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ProtocolError(f"need n >= 1 signal/noise pairs, got {self.n}")
         if not math.isfinite(self.t):
             raise ProtocolError(f"interaction time {self.t} is not finite")
-        if not 1 <= self.signal_target <= self.n:
-            raise ProtocolError(
-                f"target {self.signal_target} outside 1..{self.n}"
-            )
-
-    @property
-    def with_reference(self) -> bool:
-        return self.variant is Variant.WITH_REFERENCE
 
     def layout(self) -> RegisterLayout:
-        return RegisterLayout.standard(self.n, with_reference=self.with_reference)
+        return RegisterLayout.standard(self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -264,27 +253,12 @@ def decoding_unitary(n: int, alphas: AlphaCoefficients, target: int = 1) -> np.n
 # running the protocol
 
 
-def prepare_initial(config: ProtocolConfig, psi: StateVector | None = None) -> StateVector:
-    """Input state (x) n Bell pairs, or the purified version with a reference.
-
-    With ``Variant.WITH_REFERENCE`` the data qubit enters as half of a Bell
-    pair with the reference and ``psi`` must be omitted.
-    """
-    layout = config.layout()
+def prepare_initial(config: ProtocolConfig, psi: StateVector) -> StateVector:
+    """The input state (x) n Bell pairs on the standard layout."""
+    if psi.num_qubits != 1:
+        raise ProtocolError("the input must be a single-qubit state")
     phi = np.array([1, 0, 0, 1], dtype=np.complex128) * _INV_SQRT2
-    groups: list[np.ndarray] = []
-    if config.with_reference:
-        if psi is not None:
-            raise ProtocolError("with a reference the data qubit has no free input state")
-        groups.append(phi)  # (REF, A) Bell pair on qubits 0, 1
-    else:
-        if psi is None:
-            raise ProtocolError("an input state is required without a reference")
-        if psi.num_qubits != 1:
-            raise ProtocolError("the input must be a single-qubit state")
-        groups.append(psi.amplitudes)
-    groups.extend([phi] * config.n)
-    return kron_states(groups, layout)
+    return kron_states([psi.amplitudes] + [phi] * config.n, config.layout())
 
 
 def encode(state: StateVector, config: ProtocolConfig) -> StateVector:
@@ -301,7 +275,6 @@ class DecryptionOutcome:
 
     target_role: str
     recovered: DensityOperator
-    recovered_pure: StateVector | None
     fidelity: float | None
     post_state: StateVector
     carrier: int
@@ -326,15 +299,12 @@ def _finish_outcome(
 ) -> DecryptionOutcome:
     layout = post.layout
     recovered = partial_trace(post, [carrier])
-    weight, vec = dominant_eigenvector(recovered)
-    pure = vec if weight > 1.0 - 1e-9 else None
     fidelity = None
     if reference is not None:
         fidelity = fidelity_pure(recovered, reference)
     return DecryptionOutcome(
         target_role=layout.role_at(carrier),
         recovered=recovered,
-        recovered_pure=pure,
         fidelity=fidelity,
         post_state=post,
         carrier=carrier,
@@ -345,11 +315,10 @@ def _finish_outcome(
 def apply_decoding(
     state: StateVector,
     config: ProtocolConfig,
-    target: int | None = None,
+    target: int = 1,
     alphas: AlphaCoefficients | None = None,
 ) -> StateVector:
     """Decoder acting on (S_target, N_1..N_n) of an encoded register."""
-    target = config.signal_target if target is None else target
     if not 1 <= target <= config.n:
         raise ProtocolError(f"target {target} outside 1..{config.n}")
     if alphas is None:
@@ -363,7 +332,7 @@ def apply_decoding(
 def decrypt(
     state: StateVector,
     config: ProtocolConfig,
-    target: int | None = None,
+    target: int = 1,
     reference: StateVector | None = None,
 ) -> DecryptionOutcome:
     """Decrypt one clone of an encoded register, consuming all noise qubits.
@@ -371,7 +340,6 @@ def decrypt(
     ``reference`` is the input state, if the caller knows it, used only to
     report a fidelity.
     """
-    target = config.signal_target if target is None else target
     post = apply_decoding(state, config, target)
     warnings = ()
     if config.n == 1:
@@ -383,7 +351,7 @@ def decrypt_with_substitution(
     state: StateVector,
     config: ProtocolConfig,
     lost_noise,
-    target: int | None = None,
+    target: int = 1,
     reference: StateVector | None = None,
 ) -> DecryptionOutcome:
     """Decrypt although some noise qubits are gone, using their signal partners.
@@ -392,7 +360,6 @@ def decrypt_with_substitution(
     ``S_j`` untransposed.  The target pair's own noise qubit cannot be
     substituted.
     """
-    target = config.signal_target if target is None else target
     lost = frozenset(int(j) for j in lost_noise)
     if not lost <= set(range(1, config.n + 1)):
         raise ProtocolError(f"lost set {sorted(lost)} outside pairs 1..{config.n}")

@@ -19,7 +19,6 @@ import numpy as np
 from .registers import RegisterLayout, check_register_size
 
 STATE_ATOL = 1e-10
-MATRIX_ATOL = 1e-9
 # Eigenvalues in [-EIG_NEG_TOL, EIG_CLAMP] are treated as exact zeros when
 # taking entropies; anything below -EIG_NEG_TOL means the operator is not a
 # state and is rejected.

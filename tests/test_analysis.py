@@ -10,6 +10,7 @@ from qclone.analysis import (
     AnalysisError,
     LambdaSpectrum,
     SweepRow,
+    _purified_register,
     coherent_information_formula,
     coherent_information_simulated,
     default_time_grid,
@@ -17,7 +18,7 @@ from qclone.analysis import (
     rows_to_csv,
     sweep_coherent_information,
 )
-from qclone.protocol import ProtocolConfig, Variant, encode, prepare_initial
+from qclone.protocol import ProtocolConfig, bell_projector, encode
 from qclone.states import partial_trace
 
 # Fixed spot value of the curve, computed once from the closed-form spectrum
@@ -90,11 +91,20 @@ def test_marginal_entropy_identity():
             assert row.S_marginal == pytest.approx(n - 1 + h, abs=1e-9)
 
 
+def test_purified_register_pairs_the_reference_with_the_data_qubit():
+    state = _purified_register(2)
+    layout = state.layout
+    assert layout.reference == 0 and layout.data == 1
+    for pair in ([layout.reference, layout.data], [layout.signal(1), layout.noise(1)],
+                 [layout.signal(2), layout.noise(2)]):
+        rho = partial_trace(state, pair)
+        assert np.allclose(rho.matrix, bell_projector(0), atol=1e-12)
+
+
 def test_pair_reduction_has_the_lambda_spectrum():
     """The (S1, N1) eigenvalues under a purified input are exactly lambda(t)."""
     t = 0.47
-    config = ProtocolConfig(n=2, t=t, variant=Variant.WITH_REFERENCE)
-    state = encode(prepare_initial(config), config)
+    state = encode(_purified_register(2), ProtocolConfig(n=2, t=t))
     layout = state.layout
     rho = partial_trace(state, [layout.signal(1), layout.noise(1)])
     eigs = sorted(np.linalg.eigvalsh(rho.matrix), reverse=True)

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import embed_operator, random_unitary
+from qclone.claims import CIRCUIT_EQUIV_ATOL
 from qclone.circuits import (
-    CIRCUIT_EQUIV_ATOL,
     RECONSTRUCT_MAX_QUBITS,
     CircuitError,
     CircuitExportError,

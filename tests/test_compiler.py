@@ -14,7 +14,6 @@ from qclone.circuits import (
     equivalence_up_to_global_phase,
 )
 from qclone.compiler import (
-    CCU_EQUIV_ATOL,
     CompileError,
     GateCountReport,
     basis_change_V_tilde,
@@ -41,6 +40,9 @@ from qclone.states import (
     partial_trace,
 )
 from qclone.circuits import apply_circuit
+
+# Entrywise bound for a compiled doubly-controlled unit against its dense form.
+CCU_EQUIV_ATOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +101,6 @@ def test_encoder_gate_counts(n):
     # the Y-axis rotation costs an extra S.H basis change on each wire
     assert rotated.two_qubit_count == 4 * n
     assert rotated.one_qubit_count == (2 * n + 4) + 4 * (n + 1)
-
-
-def test_encoder_with_reference_variant_uses_standard_axes():
-    a = circuit_to_unitary(compile_encoding(2, 0.37, Variant.WITH_REFERENCE))
-    b = circuit_to_unitary(compile_encoding(2, 0.37, Variant.STANDARD))
-    assert np.allclose(a, b, atol=1e-14)
 
 
 def test_encoder_rejects_bad_n():

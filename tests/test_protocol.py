@@ -178,7 +178,6 @@ def test_every_target_recovers_any_input_exactly(n, rng):
             outcome = decrypt(state, config, target=target, reference=psi)
             assert outcome.fidelity >= 1 - 1e-12
             assert purity(outcome.recovered) == pytest.approx(1.0, abs=1e-10)
-            assert outcome.recovered_pure is not None
 
 
 def test_single_pair_decode_recovers_but_flags(rng):
@@ -343,17 +342,7 @@ def test_config_validation():
     with pytest.raises(ProtocolError):
         ProtocolConfig(n=0)
     with pytest.raises(ProtocolError):
-        ProtocolConfig(n=2, signal_target=3)
-
-
-def test_reference_variant_purifies_instead_of_taking_psi():
-    config = ProtocolConfig(n=2, variant=Variant.WITH_REFERENCE)
-    with pytest.raises(ProtocolError):
-        prepare_initial(config, named_state("0"))
-    state = prepare_initial(config)
-    layout = state.layout
-    rho = partial_trace(state, [layout.reference, layout.data])
-    assert np.allclose(rho.matrix, bell_projector(0), atol=1e-12)
+        ProtocolConfig(n=2, t=math.inf)
 
 
 def test_substitution_refuses_the_target_pair(rng):
