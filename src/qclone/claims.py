@@ -77,7 +77,9 @@ CLAIMS: dict[str, Claim] = {
         "max entrywise deviation of the post-encoding data qubit from I/2", "<", ENCRYPTION_ATOL
     ),
     "unauthorized-sets-input-independent": Claim(
-        "max trace distance across probe inputs over all unauthorized sets", "<", ENCRYPTION_ATOL
+        "upper bound on the trace distance between any two inputs, over all unauthorized sets",
+        "<",
+        ENCRYPTION_ATOL,
     ),
     "noise-register-untouched": Claim(
         "the encoder never acts on noise qubits; their state stays (I/2)^n", "<", NOISE_EXACT_ATOL

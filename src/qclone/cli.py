@@ -10,6 +10,7 @@ schema shipped in ``qclone/data/report.schema.json``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -110,22 +111,24 @@ def _canonical(obj):
     return obj
 
 
-_SCHEMA_CACHE: dict | None = None
-
-
+@functools.cache
 def report_schema() -> dict:
-    global _SCHEMA_CACHE
-    if _SCHEMA_CACHE is None:
-        text = (
-            resources.files("qclone").joinpath("data/report.schema.json").read_text()
-        )
-        _SCHEMA_CACHE = json.loads(text)
-    return _SCHEMA_CACHE
+    text = resources.files("qclone").joinpath("data/report.schema.json").read_text()
+    return json.loads(text)
+
+
+@functools.cache
+def _report_validator():
+    """One validator for every report; the schema itself is checked once, here."""
+    schema = report_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def render_report(report: dict) -> str:
     data = _canonical(report)
-    jsonschema.validate(data, report_schema())
+    _report_validator().validate(data)
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 

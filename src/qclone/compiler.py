@@ -20,7 +20,6 @@ import numpy as np
 
 from .claims import cycle_two_qubit_budget, decoding_two_qubit_gates, encoding_two_qubit_gates
 from .circuits import (
-    CircuitError,
     Gate,
     GateCircuit,
     gate_cnot,

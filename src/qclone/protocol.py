@@ -257,8 +257,7 @@ def prepare_initial(config: ProtocolConfig, psi: StateVector) -> StateVector:
     """The input state (x) n Bell pairs on the standard layout."""
     if psi.num_qubits != 1:
         raise ProtocolError("the input must be a single-qubit state")
-    phi = np.array([1, 0, 0, 1], dtype=np.complex128) * _INV_SQRT2
-    return kron_states([psi.amplitudes] + [phi] * config.n, config.layout())
+    return kron_states([psi.amplitudes] + [bell_pair_vector()] * config.n, config.layout())
 
 
 def encode(state: StateVector, config: ProtocolConfig) -> StateVector:
@@ -511,8 +510,7 @@ def execute_iterated_cloning(plan: IteratedCloningPlan, psi: StateVector) -> Sta
     """Run every encoding step of the plan on psi (x) Bell pairs."""
     if psi.num_qubits != 1:
         raise ProtocolError("the input must be a single-qubit state")
-    phi = np.array([1, 0, 0, 1], dtype=np.complex128) * _INV_SQRT2
-    groups = [psi.amplitudes] + [phi] * ((plan.num_qubits - 1) // 2)
+    groups = [psi.amplitudes] + [bell_pair_vector()] * ((plan.num_qubits - 1) // 2)
     state = kron_states(groups, plan.layout)
     u, _ = _tree_operators()
     for step in plan.steps:
@@ -528,8 +526,7 @@ def append_fresh_pair(state: StateVector) -> tuple[StateVector, tuple[int, int]]
     """
     n = state.num_qubits
     check_register_size(n + 2)
-    phi = np.array([1, 0, 0, 1], dtype=np.complex128) * _INV_SQRT2
-    vec = np.kron(phi, state.amplitudes)
+    vec = np.kron(bell_pair_vector(), state.amplitudes)
     return StateVector(vec, RegisterLayout.generic(n + 2)), (n, n + 1)
 
 

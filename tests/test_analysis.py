@@ -1,16 +1,21 @@
+import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qclone import analysis, cli
 from qclone.analysis import (
     CSV_HEADER,
     AnalysisError,
     LambdaSpectrum,
     SweepRow,
+    _input_dependence_bound,
     _purified_register,
+    _unauthorized_sets,
     coherent_information_formula,
     coherent_information_simulated,
     default_time_grid,
@@ -18,8 +23,15 @@ from qclone.analysis import (
     rows_to_csv,
     sweep_coherent_information,
 )
-from qclone.protocol import ProtocolConfig, bell_projector, encode
-from qclone.states import partial_trace
+from qclone.protocol import (
+    ProtocolConfig,
+    bell_projector,
+    default_probe_states,
+    encode,
+    prepare_initial,
+)
+from qclone.registers import ROLE_DATA, noise_role, signal_role
+from qclone.states import partial_trace, trace_distance
 
 # Fixed spot value of the curve, computed once from the closed-form spectrum
 # (cos^4, sin^2 cos^2, sin^4, sin^2 cos^2) at t = pi/8 and pinned here.
@@ -198,3 +210,73 @@ def test_audit_counts_unauthorized_sets():
     assert len(report.independence_distances) == 2 * 2 + 1
     report3 = encryption_audit(3)
     assert len(report3.independence_distances) == 3 * 4 + 1
+
+
+# ---------------------------------------------------------------------------
+# linearity bound against the six-probe oracle
+
+
+def _encoded_probes(n: int):
+    cfg = ProtocolConfig(n=n)
+    return cfg.layout(), [encode(prepare_initial(cfg, psi), cfg) for psi in default_probe_states()]
+
+
+def _six_probe_distance(encoded, keep) -> float:
+    """Largest pairwise trace distance between the probes' reductions to ``keep``."""
+    reduced = [partial_trace(state, keep) for state in encoded]
+    return max(trace_distance(a, b) for a, b in combinations(reduced, 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_bound_caps_the_six_probe_distance_on_every_unauthorized_set(n):
+    layout, encoded = _encoded_probes(n)
+    bounds = encryption_audit(n).independence_distances
+    sets = _unauthorized_sets(n)
+    assert bounds.keys() == sets.keys()
+    for label, roles in sets.items():
+        oracle = _six_probe_distance(encoded, layout.indices(roles))
+        assert oracle <= bounds[label] + 1e-15, label
+        assert oracle < 1e-10 and bounds[label] < 1e-10, label
+
+
+@pytest.mark.parametrize(
+    "n, roles, expected",
+    [
+        (1, [signal_role(1)], 1.0),  # the single-pair clone
+        (2, [signal_role(1), noise_role(1), signal_role(2)], 1 + math.sqrt(2)),  # authorized
+    ],
+)
+def test_bound_flags_input_dependent_sets(n, roles, expected):
+    layout, encoded = _encoded_probes(n)
+    keep = layout.indices(roles)
+    bound = _input_dependence_bound(encoded[0], encoded[1], keep)
+    assert bound == pytest.approx(expected, abs=1e-12)
+    assert bound > 1e-10
+    assert _six_probe_distance(encoded, keep) <= bound + 1e-15
+
+
+def test_bound_ignores_the_order_of_the_kept_qubits():
+    layout, encoded = _encoded_probes(2)
+    keep = layout.indices([ROLE_DATA, signal_role(2), noise_role(1)])
+    forward = _input_dependence_bound(encoded[0], encoded[1], keep)
+    backward = _input_dependence_bound(encoded[0], encoded[1], keep[::-1])
+    assert forward == pytest.approx(backward, abs=1e-15)
+
+
+def test_audit_takes_no_spectrum_beyond_a_single_pair(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("encryption_audit called trace_distance")
+
+    monkeypatch.setattr(analysis, "trace_distance", refuse)
+    for n in (2, 3):
+        assert encryption_audit(n).passed
+    with pytest.raises(AssertionError, match="trace_distance"):
+        encryption_audit(1)  # the n=1 leak is a lower bound and needs real distances
+
+
+def test_audit_passes_at_six_pairs_through_the_cli(capsys):
+    assert cli.main(["audit", "--n", "6"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"]
+    assert len(report["independence_distances"]) == 6 * 2**5 + 1
+    assert max(report["independence_distances"].values()) < 1e-14

@@ -20,7 +20,6 @@ from qclone.circuits import (
     _fused_blocks,
     apply_circuit,
     circuit_to_unitary,
-    controlled_u_qasm_lines,
     equivalence_up_to_global_phase,
     export_circuit,
     gate_cnot,
