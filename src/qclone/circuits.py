@@ -225,7 +225,7 @@ class EquivalenceResult:
     max_entry_deviation: float
 
 
-def equivalence_up_to_global_phase(u, v, atol: float = CIRCUIT_EQUIV_ATOL) -> EquivalenceResult:
+def equivalence_up_to_global_phase(u, v) -> EquivalenceResult:
     """Is u = phase * v?  The phase is read off tr(v+ u), with no matrix product."""
     u = np.asarray(u, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
@@ -236,7 +236,7 @@ def equivalence_up_to_global_phase(u, v, atol: float = CIRCUIT_EQUIV_ATOL) -> Eq
         return EquivalenceResult(False, 1.0 + 0j, float(np.abs(u - v).max()))
     phase = pivot / abs(pivot)
     dev = float(np.abs(u - phase * v).max())
-    return EquivalenceResult(dev < atol, complex(phase), dev)
+    return EquivalenceResult(dev < CIRCUIT_EQUIV_ATOL, complex(phase), dev)
 
 
 # ---------------------------------------------------------------------------

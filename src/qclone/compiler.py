@@ -138,9 +138,6 @@ def compile_ccu(control_pattern, u, controls, target: int) -> GateCircuit:
     target = int(target)
     if len({c1, c2, target}) != 3:
         raise CompileError(f"controls {controls} and target {target} must be distinct")
-    u = check_unitary(np.asarray(u, dtype=np.complex128))
-    if u.shape != (2, 2):
-        raise CompileError(f"need a 2x2 unitary, got {u.shape}")
     v = principal_sqrt_2x2(u)
     flips = [gate_x(c) for c, bit in zip((c1, c2), bits) if bit == 0]
     core = [

@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .paulis import SIGMA, PauliString
-from .registers import RegisterLayout, check_register_size
+from .registers import RegisterLayout
 from .states import (
     DensityOperator,
     StateVector,
@@ -211,42 +211,30 @@ class AlphaCoefficients:
         return cls(tuple(c[0] / c[mu] for mu in range(4)))
 
 
-def _decoder_matrix(
-    n: int,
-    alphas: AlphaCoefficients,
-    pair_slot: int,
-    plain_slots: frozenset[int] = frozenset(),
-) -> np.ndarray:
-    """Dense decoder on local qubits [carrier = bit 0, key slots 1..n].
+def decoding_unitary(n: int, alphas: AlphaCoefficients, target: int = 1) -> np.ndarray:
+    """Dense decoder on local qubits [S_target = bit 0, N_1..N_n = bits 1..n].
 
-    The Bell projector pairs the carrier with slot ``pair_slot``; every other
-    slot gets sigma_mu^T, or plain sigma_mu for slots listed in
-    ``plain_slots`` (signal qubits standing in for lost noise qubits).
-    Expanding |phi_mu><phi_mu| = 1/4 sum_nu eps_mu,nu sigma_nu (x) sigma_nu^T,
-    with eps = -1 when mu, nu != 0 and mu != nu, makes the decoder a sum of
-    16 Pauli strings; each transpose is a sign per Y factor.
+    The Bell projector pairs the carrier with slot ``target``; every other
+    slot gets sigma_mu^T.  Expanding
+    |phi_mu><phi_mu| = 1/4 sum_nu eps_mu,nu sigma_nu (x) sigma_nu^T, with
+    eps = -1 when mu, nu != 0 and mu != nu, makes the decoder a sum of 16
+    Pauli strings; each transpose is a sign per Y factor.
     """
-    others = [s for s in range(1, n + 1) if s != pair_slot]
-    transposed = sum(1 for s in others if s not in plain_slots)
+    if not 1 <= target <= n:
+        raise ProtocolError(f"target {target} outside 1..{n}")
+    others = [s for s in range(1, n + 1) if s != target]
     total = np.zeros((2 ** (n + 1),) * 2, dtype=np.complex128)
     for mu in range(4):
         for nu in range(4):
             sign = -1 if mu and nu and mu != nu else 1
             if nu == 2:  # sigma_nu^T on the pair slot
                 sign = -sign
-            if mu == 2:  # sigma_mu^T on every keyed slot
-                sign *= (-1) ** transposed
-            factors = {0: nu, pair_slot: nu} | dict.fromkeys(others, mu)
+            if mu == 2:  # sigma_mu^T on every other slot
+                sign *= (-1) ** len(others)
+            factors = {0: nu, target: nu} | dict.fromkeys(others, mu)
             string = PauliString.from_factors(factors, alphas[mu] * sign / 4)
             total += string.to_matrix(n + 1)
     return total
-
-
-def decoding_unitary(n: int, alphas: AlphaCoefficients, target: int = 1) -> np.ndarray:
-    """Dense decoder on local qubits [S_target = bit 0, N_1..N_n = bits 1..n]."""
-    if not 1 <= target <= n:
-        raise ProtocolError(f"target {target} outside 1..{n}")
-    return _decoder_matrix(n, alphas, pair_slot=target)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +260,6 @@ def encode(state: StateVector, config: ProtocolConfig) -> StateVector:
 class DecryptionOutcome:
     """What a decryption attempt produced."""
 
-    target_role: str
     recovered: DensityOperator
     fidelity: float | None
     post_state: StateVector
@@ -296,36 +283,9 @@ def _finish_outcome(
     reference: StateVector | None,
     warnings: tuple[str, ...] = (),
 ) -> DecryptionOutcome:
-    layout = post.layout
     recovered = partial_trace(post, [carrier])
-    fidelity = None
-    if reference is not None:
-        fidelity = fidelity_pure(recovered, reference)
-    return DecryptionOutcome(
-        target_role=layout.role_at(carrier),
-        recovered=recovered,
-        fidelity=fidelity,
-        post_state=post,
-        carrier=carrier,
-        warnings=warnings,
-    )
-
-
-def apply_decoding(
-    state: StateVector,
-    config: ProtocolConfig,
-    target: int = 1,
-    alphas: AlphaCoefficients | None = None,
-) -> StateVector:
-    """Decoder acting on (S_target, N_1..N_n) of an encoded register."""
-    if not 1 <= target <= config.n:
-        raise ProtocolError(f"target {target} outside 1..{config.n}")
-    if alphas is None:
-        alphas = AlphaCoefficients.for_angle(config.n, config.t, config.variant)
-    layout = state.layout
-    u = decoding_unitary(config.n, alphas, target)
-    targets = [layout.signal(target)] + [layout.noise(j) for j in range(1, config.n + 1)]
-    return apply_unitary(state, u, targets)
+    fidelity = None if reference is None else fidelity_pure(recovered, reference)
+    return DecryptionOutcome(recovered, fidelity, post, carrier, warnings)
 
 
 def decrypt(
@@ -339,11 +299,7 @@ def decrypt(
     ``reference`` is the input state, if the caller knows it, used only to
     report a fidelity.
     """
-    post = apply_decoding(state, config, target)
-    warnings = ()
-    if config.n == 1:
-        warnings = ("n=1: the clone is recoverable but was never fully encrypted",)
-    return _finish_outcome(post, state.layout.signal(target), reference, warnings)
+    return decrypt_with_substitution(state, config, (), target, reference)
 
 
 def decrypt_with_substitution(
@@ -356,8 +312,8 @@ def decrypt_with_substitution(
     """Decrypt although some noise qubits are gone, using their signal partners.
 
     For every lost ``N_j`` the decoder's transposed Pauli factor moves to
-    ``S_j`` untransposed.  The target pair's own noise qubit cannot be
-    substituted.
+    ``S_j`` untransposed, which flips the sign of alpha_2 once per lost qubit.
+    The target pair's own noise qubit cannot be substituted.
     """
     lost = frozenset(int(j) for j in lost_noise)
     if not lost <= set(range(1, config.n + 1)):
@@ -367,14 +323,27 @@ def decrypt_with_substitution(
             f"noise qubit N_{target} belongs to the target pair and cannot be"
             " substituted"
         )
-    alphas = AlphaCoefficients.for_angle(config.n, config.t, config.variant)
-    u = _decoder_matrix(config.n, alphas, pair_slot=target, plain_slots=lost)
+    a = AlphaCoefficients.for_angle(config.n, config.t, config.variant)
+    alphas = AlphaCoefficients((a[0], a[1], a[2] * (-1) ** len(lost), a[3]))
+    u = decoding_unitary(config.n, alphas, target)
     layout = state.layout
     physical = [layout.signal(target)]
     for j in range(1, config.n + 1):
         physical.append(layout.signal(j) if j in lost else layout.noise(j))
-    post = apply_unitary(state, u, physical)
-    return _finish_outcome(post, layout.signal(target), reference)
+    warnings = ()
+    if config.n == 1:
+        warnings = ("n=1: the clone is recoverable but was never fully encrypted",)
+    return _finish_outcome(
+        apply_unitary(state, u, physical), layout.signal(target), reference, warnings
+    )
+
+
+def _unencode(state: StateVector, config: ProtocolConfig, partner, reference) -> DecryptionOutcome:
+    """Apply the encoder's adjoint to [A] + partner(1..n) and read out A."""
+    layout = state.layout
+    u = encoding_unitary(config.n, config.t, config.variant)
+    targets = [layout.data] + [partner(j) for j in range(1, config.n + 1)]
+    return _finish_outcome(apply_unitary(state, u.conj().T, targets), layout.data, reference)
 
 
 def decrypt_from_A(
@@ -392,11 +361,7 @@ def decrypt_from_A(
         raise OddCloneCountError(
             f"data-side decryption needs an even clone count, got n={config.n}"
         )
-    layout = state.layout
-    u = encoding_unitary(config.n, config.t, config.variant)
-    targets = [layout.data] + [layout.noise(j) for j in range(1, config.n + 1)]
-    post = apply_unitary(state, u.conj().T, targets)
-    return _finish_outcome(post, layout.data, reference)
+    return _unencode(state, config, state.layout.noise, reference)
 
 
 def reverse_encoding_recovery(
@@ -405,11 +370,7 @@ def reverse_encoding_recovery(
     reference: StateVector | None = None,
 ) -> DecryptionOutcome:
     """Undo the encoder outright on (A, S_1..S_n); valid at every t."""
-    layout = state.layout
-    u = encoding_unitary(config.n, config.t, config.variant)
-    targets = [layout.data] + [layout.signal(i) for i in range(1, config.n + 1)]
-    post = apply_unitary(state, u.conj().T, targets)
-    return _finish_outcome(post, layout.data, reference)
+    return _unencode(state, config, state.layout.signal, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +486,8 @@ def append_fresh_pair(state: StateVector) -> tuple[StateVector, tuple[int, int]]
     that is deliberately wrong for every clone.
     """
     n = state.num_qubits
-    check_register_size(n + 2)
-    vec = np.kron(bell_pair_vector(), state.amplitudes)
-    return StateVector(vec, RegisterLayout.generic(n + 2)), (n, n + 1)
+    fresh = kron_states([state.amplitudes, bell_pair_vector()], RegisterLayout.generic(n + 2))
+    return fresh, (n, n + 1)
 
 
 def decrypt_clone(

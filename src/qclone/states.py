@@ -157,14 +157,14 @@ def haar_random_qubit(rng: np.random.Generator) -> StateVector:
 # unitary application
 
 
-def check_unitary(u, atol: float = STATE_ATOL) -> np.ndarray:
+def check_unitary(u) -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise StateValidationError(f"operator of shape {u.shape} is not square")
     dim = u.shape[0]
     if dim & (dim - 1):
         raise StateValidationError(f"operator dimension {dim} is not a power of two")
-    if not np.allclose(u.conj().T @ u, np.eye(dim), atol=atol):
+    if not np.allclose(u.conj().T @ u, np.eye(dim), atol=STATE_ATOL):
         raise StateValidationError("operator is not unitary")
     return u
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import embed_operator
 from qclone.paulis import SIGMA
 from qclone.protocol import (
-    _decoder_matrix,
     AlphaCoefficients,
     AngleError,
     KeyMaterialError,
@@ -28,6 +28,7 @@ from qclone.protocol import (
     prepare_initial,
 )
 from qclone.states import (
+    apply_unitary,
     check_unitary,
     fidelity_pure,
     haar_random_qubit,
@@ -157,10 +158,10 @@ def test_decryption_at_shifted_angle_needs_angle_specific_alphas():
     good = decrypt(state, config, target=1, reference=psi)
     assert good.fidelity == pytest.approx(1.0, abs=1e-12)
 
-    from qclone.protocol import apply_decoding
-
-    wrong = apply_decoding(state, config, target=1, alphas=AlphaCoefficients.standard(2))
-    recovered = partial_trace(wrong, [state.layout.signal(1)])
+    layout = state.layout
+    u = decoding_unitary(2, AlphaCoefficients.standard(2), target=1)
+    wrong = apply_unitary(state, u, [layout.signal(1), layout.noise(1), layout.noise(2)])
+    recovered = partial_trace(wrong, [layout.signal(1)])
     assert fidelity_pure(recovered, psi) < 1e-10  # the output is the flipped state
 
 
@@ -323,9 +324,45 @@ def test_decoder_matches_bell_projector_construction(n):
 @pytest.mark.parametrize("n,lost", [(2, {2}), (3, {2, 3}), (4, {3})])
 def test_substitution_decoder_matches_bell_projector_construction(n, lost):
     for alphas in (AlphaCoefficients.standard(n), AlphaCoefficients.rotated_x2(n)):
-        got = _decoder_matrix(n, alphas, pair_slot=1, plain_slots=frozenset(lost))
+        a = alphas.values
+        flipped = AlphaCoefficients((a[0], a[1], a[2] * (-1) ** len(lost), a[3]))
+        got = decoding_unitary(n, flipped, target=1)
         expect = decoder_oracle(n, alphas, 1, lost)
         assert np.abs(got - expect).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_substitution_post_states_match_the_bell_projector_oracle(n, variant, rng):
+    config = ProtocolConfig(n=n, variant=variant)
+    psi = haar_random_qubit(rng)
+    state = encode(prepare_initial(config, psi), config)
+    layout = state.layout
+    alphas = AlphaCoefficients.for_angle(n, PROTOCOL_T, variant)
+    for target in range(1, n + 1):
+        others = [j for j in range(1, n + 1) if j != target]
+        for lost in itertools.chain.from_iterable(
+            itertools.combinations(others, k) for k in range(len(others) + 1)
+        ):
+            out = decrypt_with_substitution(state, config, lost, target=target)
+            qubits = [layout.signal(target)] + [
+                layout.signal(j) if j in lost else layout.noise(j) for j in range(1, n + 1)
+            ]
+            oracle = decoder_oracle(n, alphas, target, frozenset(lost))
+            expect = apply_unitary(state, oracle, qubits).amplitudes
+            assert np.abs(out.post_state.amplitudes - expect).max() < 1e-14
+
+
+def test_single_pair_decrypt_is_substitution_with_nothing_lost(rng):
+    config = ProtocolConfig(n=1)
+    psi = haar_random_qubit(rng)
+    state = encode(prepare_initial(config, psi), config)
+    plain = decrypt(state, config, reference=psi)
+    substituted = decrypt_with_substitution(state, config, (), reference=psi)
+    assert plain.post_state.amplitudes.tobytes() == substituted.post_state.amplitudes.tobytes()
+    assert plain.fidelity == substituted.fidelity
+    assert plain.warnings == substituted.warnings
+    assert any("never fully encrypted" in w for w in substituted.warnings)
 
 
 def test_decoder_is_unitary_for_both_alpha_families():

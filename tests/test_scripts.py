@@ -1,12 +1,15 @@
-"""The scripts under scripts/ run to completion."""
+"""The scripts under scripts/ run to completion, and the benchmark's trace
+targets still name functions of the package."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.mark.parametrize(
@@ -28,3 +31,22 @@ def test_script_exits_zero(argv, tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_trace_target_resolves(monkeypatch):
+    """``perfbench/run.py --trace 1`` wraps each target by module and attribute;
+    deleting or renaming one must fail here, not at trace time."""
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
+    spec.loader.exec_module(tracing)
+    missing = []
+    for target in tracing.TARGETS:
+        owner = importlib.import_module(target.module)
+        for part in target.attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{target.module}.{target.attr}")
+    assert tracing.TARGETS and not missing, missing

@@ -55,9 +55,10 @@ def test_substitution_validates_the_lost_set(rng):
 def test_data_side_decryption_for_even_clone_counts(n, rng):
     config = ProtocolConfig(n=n)
     psi = haar_random_qubit(rng)
-    outcome = decrypt_from_A(encoded(config, psi), config, reference=psi)
+    state = encoded(config, psi)
+    outcome = decrypt_from_A(state, config, reference=psi)
     assert outcome.fidelity >= 1 - 1e-12
-    assert outcome.target_role == "A"
+    assert outcome.carrier == state.layout.data
 
 
 def test_data_side_decryption_rejects_odd_counts(rng):
