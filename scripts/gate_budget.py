@@ -13,6 +13,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from qclone.circuits import circuit_to_unitary, equivalence_up_to_global_phase
+from qclone.claims import check
 from qclone.compiler import compile_decoding, compile_encoding, gate_count_report
 from qclone.protocol import AlphaCoefficients, decoding_unitary, encoding_unitary
 
@@ -41,8 +42,12 @@ def main() -> int:
                 circuit_to_unitary(compile_decoding(n, alphas)),
                 decoding_unitary(n, alphas),
             )
-            verified = "yes" if (enc.equivalent and dec.equivalent) else "NO"
-            ok = ok and enc.equivalent and dec.equivalent
+            passed = all(
+                check(f"{kind}-circuit-equivalence", res.max_entry_deviation).passed
+                for kind, res in (("encoding", enc), ("decoding", dec))
+            )
+            verified = "yes" if passed else "NO"
+            ok = ok and passed
         print(
             f"{n:>3} {report.enc_2q:>7} {report.dec_2q:>7} {report.measured_total:>5}"
             f" {report.total_2q:>14} {verified:>9}"

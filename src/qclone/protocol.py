@@ -31,6 +31,7 @@ from .paulis import SIGMA, PauliString
 from .registers import RegisterLayout
 from .states import (
     DensityOperator,
+    State,
     StateVector,
     apply_unitary,
     fidelity_pure,
@@ -258,11 +259,14 @@ def encode(state: StateVector, config: ProtocolConfig) -> StateVector:
 
 @dataclass(frozen=True)
 class DecryptionOutcome:
-    """What a decryption attempt produced."""
+    """What a decryption attempt produced: ``carrier`` indexes ``post_state``.
+
+    For :func:`decrypt_clone`, ``post_state`` is the decrypted key cone.
+    """
 
     recovered: DensityOperator
     fidelity: float | None
-    post_state: StateVector
+    post_state: State
     carrier: int
     warnings: tuple[str, ...] = ()
 
@@ -278,7 +282,7 @@ class DecryptionOutcome:
 
 
 def _finish_outcome(
-    post: StateVector,
+    post: State,
     carrier: int,
     reference: StateVector | None,
     warnings: tuple[str, ...] = (),
@@ -502,12 +506,23 @@ def decrypt_clone(
     ``key_override`` substitutes the (noise, noise) pair used at a given level
     — deliberately handing the decoder the wrong key shows that nothing about
     the input leaks without the right one.
+
+    Every decoder acts inside the key cone (the clone and its keys, sorted),
+    and a partial trace commutes with unitaries on what it keeps, so the walk
+    runs on the cone's density operator.  ``post_state`` is the decrypted cone,
+    ``carrier`` the clone's index in it and ``residual`` the consumed keys.
     """
+    key_override = key_override or {}
+    unknown = sorted(set(key_override) - set(range(1, plan.depth + 1)))
+    if unknown:
+        raise ProtocolError(f"key_override levels {unknown} outside 1..{plan.depth}")
     _, undo = _tree_operators()
-    carrier = clone
-    for step, role in plan.ancestry(clone):
-        keys = step.noises
-        if key_override and step.level in key_override:
-            keys = key_override[step.level]
-        state = apply_unitary(state, undo[role], [carrier, *keys])
-    return _finish_outcome(state, clone, reference)
+    walk = [
+        (undo[role], [clone, *key_override.get(step.level, step.noises)])
+        for step, role in plan.ancestry(clone)
+    ]
+    cone = sorted({q for _, qubits in walk for q in qubits})
+    cone_state = partial_trace(state, cone)
+    for u, qubits in walk:
+        cone_state = apply_unitary(cone_state, u, [cone.index(q) for q in qubits])
+    return _finish_outcome(cone_state, cone.index(clone), reference)

@@ -183,8 +183,11 @@ def _contract(tensor: np.ndarray, u: np.ndarray, targets: tuple[int, ...], n: in
     return np.moveaxis(out, list(range(k)), qubit_axes)
 
 
-def apply_unitary(state: StateVector, u, targets) -> StateVector:
-    """Apply a k-qubit unitary to ``targets`` (ordered, little-endian in u)."""
+def apply_unitary(state: State, u, targets) -> State:
+    """Apply a k-qubit unitary to ``targets`` (ordered, little-endian in u).
+
+    A density operator is conjugated: U rho U^dagger.
+    """
     targets = tuple(int(q) for q in targets)
     n = state.num_qubits
     if len(set(targets)) != len(targets):
@@ -196,9 +199,13 @@ def apply_unitary(state: StateVector, u, targets) -> StateVector:
         raise StateValidationError(
             f"operator dimension {u.shape[0]} does not fit {len(targets)} targets"
         )
-    psi = state.amplitudes.reshape([2] * n)
-    out = _contract(psi, u, targets, n)
-    return StateVector(out.reshape(-1), state.layout)
+    if isinstance(state, StateVector):
+        out = _contract(state.amplitudes.reshape([2] * n), u, targets, n)
+        return StateVector(out.reshape(-1), state.layout)
+    mat = state.matrix
+    for _ in range(2):  # U on the rows, columns as batch; then on the adjoint's rows
+        mat = _contract(mat.reshape([2] * n + [-1]), u, targets, n).reshape(2**n, -1).conj().T
+    return DensityOperator(mat, state.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +231,25 @@ def _split(state: StateVector, keep: tuple[int, ...]) -> np.ndarray:
     return psi.transpose(keep_axes + rest_axes).reshape(2 ** len(keep), -1)
 
 
-def partial_trace(state: StateVector, keep) -> DensityOperator:
+def partial_trace(state: State, keep) -> DensityOperator:
     """Reduced density operator on ``keep`` (qubit positions, any order).
 
     The surviving qubits are re-indexed in ascending physical order and keep
     their role names.
     """
-    keep = _qubit_set(keep, state.num_qubits, "keep")
+    n = state.num_qubits
+    keep = _qubit_set(keep, n, "keep")
     if not keep:
         raise StateValidationError("keep set must be non-empty")
-    mat = _split(state, keep)
-    return DensityOperator(mat @ mat.conj().T, state.layout.restricted_to(keep))
+    if isinstance(state, StateVector):
+        mat = _split(state, keep)
+        reduced = mat @ mat.conj().T
+    else:  # a traced qubit's column axis takes its row axis's label: a trace
+        labels = [a if a < n or 2 * n - 1 - a in keep else a - n for a in range(2 * n)]
+        rows = [n - 1 - q for q in reversed(keep)]
+        out = np.einsum(state.matrix.reshape([2] * (2 * n)), labels, rows + [n + r for r in rows])
+        reduced = out.reshape(2 ** len(keep), -1)
+    return DensityOperator(reduced, state.layout.restricted_to(keep))
 
 
 def reduced_trace_distance(a: StateVector, b: StateVector, traced) -> float:

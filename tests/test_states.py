@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +133,45 @@ def test_apply_unitary_matches_dense_embedding(seed, num_qubits, data):
     assert np.isclose(np.linalg.norm(fast.amplitudes), 1.0, atol=1e-12)
 
 
+def random_density(rng, n: int) -> DensityOperator:
+    """Full-rank mixed state G G^dagger / tr from a Ginibre matrix."""
+    g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = g @ g.conj().T
+    return DensityOperator(rho / np.trace(rho).real, RegisterLayout.generic(n))
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 5) for k in range(1, 4) if k <= n])
+def test_apply_unitary_conjugates_a_density_operator(rng, n, k):
+    """On rho the contraction is U rho U^dagger, for unsorted targets too."""
+    for _ in range(3):
+        rho = random_density(rng, n)
+        targets = [int(q) for q in rng.permutation(n)[:k]]
+        u = random_unitary(rng, 2**k)
+        out = apply_unitary(rho, u, targets)
+        full = embed_operator(u, targets, n)
+        assert isinstance(out, DensityOperator)
+        assert out.layout == rho.layout
+        assert np.abs(out.matrix - full @ rho.matrix @ full.conj().T).max() < 1e-14
+
+
+def test_apply_unitary_rejects_the_same_inputs_for_either_kind_of_state(rng):
+    pure = haar_state(rng, 3)
+    mixed = DensityOperator(np.outer(pure.amplitudes, pure.amplitudes.conj()), pure.layout)
+    bad = [
+        (random_unitary(rng, 4), [1, 1], "repeated target"),
+        (random_unitary(rng, 4), [0, 3], "out of range"),
+        (random_unitary(rng, 4), [0], "does not fit"),
+        (np.diag([1.0, 2.0]), [0], "not unitary"),
+    ]
+    for u, targets, match in bad:
+        messages = []
+        for state in (pure, mixed):
+            with pytest.raises(StateValidationError, match=match) as err:
+                apply_unitary(state, u, targets)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
 def test_embed_operator_is_multiplicative(rng):
     u = random_unitary(rng, 2)
     v = random_unitary(rng, 2)
@@ -186,6 +227,24 @@ def test_partial_trace_pure_and_density_paths_agree(seed, data):
     from_density = trace_out(np.outer(raw, raw.conj()), n, keep)
     assert np.allclose(from_pure.matrix, from_density, atol=1e-12)
     assert np.isclose(np.trace(from_pure.matrix).real, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_partial_trace_of_a_density_operator_matches_the_pure_path(rng, n):
+    """|psi><psi| reduces like psi on every keep set, listed in any order;
+    a mixed state reduces like the tracing-out oracle."""
+    psi = haar_state(rng, n)
+    projector = DensityOperator(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.layout)
+    mixed = random_density(rng, n)
+    for size in range(1, n + 1):
+        for keep in itertools.combinations(range(n), size):
+            expect = partial_trace(psi, keep)
+            for order in itertools.permutations(keep):
+                got = partial_trace(projector, order)
+                assert got.layout == expect.layout
+                assert np.abs(got.matrix - expect.matrix).max() < 1e-14
+            reduced = partial_trace(mixed, keep).matrix
+            assert np.abs(reduced - trace_out(mixed.matrix, n, keep)).max() < 1e-14
 
 
 def test_partial_trace_two_steps_equals_one(rng):

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import qclone.protocol
 from qclone.protocol import (
+    AlphaCoefficients,
     OddCloneCountError,
     ProtocolConfig,
     ProtocolError,
@@ -13,13 +16,21 @@ from qclone.protocol import (
     decrypt_clone,
     decrypt_from_A,
     decrypt_with_substitution,
+    decoding_unitary,
     encode,
+    encoding_unitary,
     execute_iterated_cloning,
     named_state,
     plan_iterated_cloning,
     prepare_initial,
 )
-from qclone.states import haar_random_qubit, partial_trace, trace_distance
+from qclone.states import (
+    StateVector,
+    apply_unitary,
+    haar_random_qubit,
+    partial_trace,
+    trace_distance,
+)
 
 
 def encoded(config: ProtocolConfig, psi):
@@ -189,3 +200,82 @@ def test_clone_of_a_clone_chains_two_decodings(rng):
     assert levels == [2, 1]
     outcome = decrypt_clone(plan, state, clone, reference=psi)
     assert outcome.fidelity >= 1 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the key-cone walk against the full-register walk
+
+
+def full_register_walk(plan, state, clone, key_override=None):
+    """Oracle: every ancestry decoder on the whole statevector, then the clone."""
+    u_enc = encoding_unitary(2, math.pi / 4)
+    alphas = AlphaCoefficients.standard(2)
+    undo = (u_enc.conj().T, *(decoding_unitary(2, alphas, target=i) for i in (1, 2)))
+    for step, role in plan.ancestry(clone):
+        keys = (key_override or {}).get(step.level, step.noises)
+        state = apply_unitary(state, undo[role], [clone, *keys])
+    return partial_trace(state, [clone]).matrix
+
+
+def foreign_noises(plan, clone):
+    """The noise pair of a deepest-level step off the clone's ancestry."""
+    own = {step for step, _ in plan.ancestry(clone)}
+    return next(s for s in plan.steps if s.level == plan.depth and s not in own).noises
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_key_cone_walk_matches_the_full_register_walk(depth, rng):
+    psi = haar_random_qubit(rng)
+    plan = plan_iterated_cloning(depth)
+    state = execute_iterated_cloning(plan, psi)
+    enlarged, fresh = append_fresh_pair(state)
+    for clone in plan.clones:
+        cases = [(state, None), (enlarged, {plan.depth: fresh})]
+        if depth > 1:
+            cases.append((state, {depth: foreign_noises(plan, clone)}))
+        for register, override in cases:
+            got = decrypt_clone(plan, register, clone, key_override=override).recovered
+            expect = full_register_walk(plan, register, clone, override)
+            assert np.abs(got.matrix - expect).max() < 1e-14, (clone, override)
+
+
+@pytest.mark.parametrize("levels", [{3: (5, 6)}, {0: (5, 6)}, {2: (5, 6), 3: (7, 8)}])
+def test_key_override_at_an_unknown_level_is_rejected(levels):
+    plan = plan_iterated_cloning(2)
+    state = execute_iterated_cloning(plan, named_state("0"))
+    with pytest.raises(ProtocolError, match="outside 1..2"):
+        decrypt_clone(plan, state, plan.clones[0], key_override=levels)
+
+
+def test_tree_decryption_reduces_the_register_once(monkeypatch):
+    """No ancestry decoder touches the full statevector again."""
+    applied, reduced = [], []
+
+    def spy(log, fn):
+        def wrapped(state, *args):
+            log.append(state)
+            return fn(state, *args)
+
+        return wrapped
+
+    monkeypatch.setattr(qclone.protocol, "apply_unitary", spy(applied, apply_unitary))
+    monkeypatch.setattr(qclone.protocol, "partial_trace", spy(reduced, partial_trace))
+    plan = plan_iterated_cloning(2)
+    state = execute_iterated_cloning(plan, named_state("+"))
+    applied.clear()
+    for clone in plan.clones:
+        reduced.clear()
+        decrypt_clone(plan, state, clone)
+        assert len([s for s in reduced if s.num_qubits == plan.num_qubits]) == 1
+    assert applied and not any(isinstance(s, StateVector) for s in applied)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_tree_decryption_consumes_its_key(depth):
+    """The consumed keys end in the same state whatever the input was."""
+    plan = plan_iterated_cloning(depth)
+    states = [execute_iterated_cloning(plan, named_state(x)) for x in ("0", "1", "+")]
+    for clone in plan.clones:
+        residuals = [decrypt_clone(plan, s, clone).residual for s in states]
+        for a, b in itertools.combinations(residuals, 2):
+            assert trace_distance(a, b) < 1e-12, clone
