@@ -15,9 +15,9 @@ from enum import Enum
 import numpy as np
 
 from .claims import CIRCUIT_EQUIV_ATOL
+from .registers import max_register_qubits
 from .states import StateVector, _contract, apply_unitary, check_unitary
 
-RECONSTRUCT_MAX_QUBITS = 12
 # Most wires one fused block of consecutive gates may touch.  A pass over the
 # 2^n batch costs about the same for any small block, because the time goes
 # into moving axes, not arithmetic; 5 was the fastest width for the n = 7
@@ -204,11 +204,17 @@ def apply_circuit(state: StateVector, circuit: GateCircuit, wire_map=None) -> St
 
 
 def circuit_to_unitary(circuit: GateCircuit) -> np.ndarray:
-    """Dense product of all gate embeddings, earliest gate rightmost."""
-    n = circuit.num_qubits
-    if n > RECONSTRUCT_MAX_QUBITS:
+    """Dense product of all gate embeddings, earliest gate rightmost.
+
+    A 2^n-square matrix holds as many amplitudes as a 2n-qubit register, so
+    the register cap bounds it too.
+    """
+    n, cap = circuit.num_qubits, max_register_qubits()
+    if 2 * n > cap:
         raise CircuitError(
-            f"{n}-qubit dense reconstruction exceeds the cap of {RECONSTRUCT_MAX_QUBITS}"
+            f"a dense {n}-qubit unitary holds as many amplitudes as a {2 * n}-qubit"
+            f" register, which exceeds the cap of {cap}"
+            " (see set_max_register_qubits / QCLONE_MAX_QUBITS)"
         )
     dim = 2**n
     # Columns of the accumulating unitary are a batch of statevectors.

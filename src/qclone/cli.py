@@ -35,8 +35,14 @@ from .circuits import (
     equivalence_up_to_global_phase,
     export_circuit,
 )
-from .claims import Check, check
-from .compiler import CompileError, GateCountReport, compile_decoding, compile_encoding
+from .claims import (
+    Check,
+    check,
+    cycle_two_qubit_budget,
+    decoding_two_qubit_gates,
+    encoding_two_qubit_gates,
+)
+from .compiler import CompileError, compile_decoding, compile_encoding
 from .paulis import PauliError
 from .protocol import (
     PAULI_EIGENSTATE_AMPLITUDES,
@@ -59,7 +65,7 @@ from .protocol import (
     prepare_initial,
     reverse_encoding_recovery,
 )
-from .registers import RegisterError, set_max_register_qubits
+from .registers import RegisterError, max_register_qubits, set_max_register_qubits
 from .states import (
     StateValidationError,
     StateVector,
@@ -147,12 +153,15 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit_report(report: dict, out: str | None) -> None:
+def _finish(report: dict, out: str | None) -> int:
+    """Judge, render and write a report: exit 0 exactly when every check passed."""
+    report["passed"] = all(c.passed for c in report["checks"])
     text = render_report(report)
     if out:
         atomic_write(out, text)
     else:
         sys.stdout.write(text)
+    return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +288,8 @@ def cmd_demo(args) -> int:
         "key_consumption_trace_distance": key_consumption,
         "flags": sorted(flags),
         "checks": checks,
-        "passed": all(c.passed for c in checks),
     }
-    _emit_report(report, args.out)
-    return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
+    return _finish(report, args.out)
 
 
 def cmd_sweep(args) -> int:
@@ -347,28 +354,25 @@ def cmd_compile(args) -> int:
             report["enc_1q"] = circuit.one_qubit_count
 
     if args.what == "both":
-        counts = GateCountReport.from_counts(args.n, report["enc_2q"], report["dec_2q"])
-        report["counts"] = counts.to_dict()
+        n, enc, dec = args.n, report["enc_2q"], report["dec_2q"]
+        report["counts"] = {
+            "n": n,
+            "enc_2q": enc,
+            "dec_2q": dec,
+            "total_2q": cycle_two_qubit_budget(n),
+            "measured_total": enc + dec,
+            "enc_formula_4n": encoding_two_qubit_gates(n),
+            "dec_formula_15n_plus_7": decoding_two_qubit_gates(n),
+            "within_budget": enc + dec <= cycle_two_qubit_budget(n),
+        }
 
     report["files"] = files
     report["checks"] = checks
-    report["passed"] = all(c.passed for c in checks)
-    _emit_report(report, None)
-    return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
+    return _finish(report, None)
 
 
 def cmd_audit(args) -> int:
-    audit = encryption_audit(args.n)
-    report = {
-        "command": "audit",
-        "n": audit.n,
-        "marginal_deviations": audit.marginal_deviations,
-        "independence_distances": audit.independence_distances,
-        "checks": audit.claims,
-        "passed": audit.passed,
-    }
-    _emit_report(report, args.out)
-    return EXIT_OK if audit.passed else EXIT_CHECK_FAILED
+    return _finish({"command": "audit", **encryption_audit(args.n)}, args.out)
 
 
 def cmd_iterate(args) -> int:
@@ -414,10 +418,8 @@ def cmd_iterate(args) -> int:
         "clones": clones,
         "wrong_key_trace_distance": wrong_key_distance,
         "checks": checks,
-        "passed": all(c.passed for c in checks),
     }
-    _emit_report(report, args.out)
-    return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
+    return _finish(report, args.out)
 
 
 def cmd_variants(args) -> int:
@@ -470,10 +472,8 @@ def cmd_variants(args) -> int:
         "seed": args.seed,
         "psi": _psi_field(psi, psi_desc),
         "checks": checks,
-        "passed": all(c.passed for c in checks),
     }
-    _emit_report(report, args.out)
-    return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
+    return _finish(report, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -538,15 +538,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    cap = os.environ.get("QCLONE_MAX_QUBITS")
-    if cap is not None:
-        try:
-            set_max_register_qubits(int(cap))
-        except (ValueError, RegisterError) as exc:
-            print(f"error: bad QCLONE_MAX_QUBITS: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-    args = build_parser().parse_args(argv)
+    """Run one command; ``QCLONE_MAX_QUBITS`` caps the registers of this run only."""
+    cap_on_entry = max_register_qubits()
     try:
+        cap = os.environ.get("QCLONE_MAX_QUBITS")
+        if cap is not None:
+            try:
+                set_max_register_qubits(int(cap))
+            except (ValueError, RegisterError) as exc:
+                print(f"error: bad QCLONE_MAX_QUBITS: {exc}", file=sys.stderr)
+                return EXIT_INPUT_ERROR
+        args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise CliInputError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
@@ -567,6 +569,8 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
+    finally:
+        set_max_register_qubits(cap_on_entry)
 
 
 def entry() -> None:

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .claims import cycle_two_qubit_budget, decoding_two_qubit_gates, encoding_two_qubit_gates
 from .circuits import (
     Gate,
     GateCircuit,
@@ -112,43 +110,29 @@ def principal_sqrt_2x2(u) -> np.ndarray:
         v = cmath.exp(1j * theta / 2.0) * (
             math.cos(phi / 2.0) * np.eye(2) - 1j * math.sin(phi / 2.0) * n_dot_sigma
         )
-    if not np.allclose(v @ v, u, atol=1e-12):
+    if not np.abs(v @ v - u).max() <= 1e-12:
         raise CompileError("square-root construction failed to reproduce u")
     return v
 
 
-def _normalize_pattern(pattern) -> tuple[int, int]:
-    if isinstance(pattern, str):
-        bits = tuple(int(ch) for ch in pattern)
-    else:
-        bits = tuple(int(b) for b in pattern)
-    if len(bits) != 2 or any(b not in (0, 1) for b in bits):
-        raise CompileError(f"control pattern must be two bits, got {pattern!r}")
-    return bits
-
-
-def compile_ccu(control_pattern, u, controls, target: int) -> GateCircuit:
+def compile_ccu(u, controls, target: int) -> GateCircuit:
     """Doubly-controlled u via controlled square roots: five two-qubit gates.
 
-    ``control_pattern[k]`` is the value wire ``controls[k]`` must hold; zeros
-    are handled by X conjugation on that wire.
+    ``u`` acts on ``target`` when both ``controls`` hold 1.
     """
-    bits = _normalize_pattern(control_pattern)
     c1, c2 = (int(c) for c in controls)
     target = int(target)
     if len({c1, c2, target}) != 3:
         raise CompileError(f"controls {controls} and target {target} must be distinct")
     v = principal_sqrt_2x2(u)
-    flips = [gate_x(c) for c, bit in zip((c1, c2), bits) if bit == 0]
-    core = [
+    gates = (
         gate_cu(c2, target, v),
         gate_cnot(c1, c2),
         gate_cu(c2, target, v.conj().T),
         gate_cnot(c1, c2),
         gate_cu(c1, target, v),
-    ]
-    gates = flips + core + flips
-    return GateCircuit(tuple(gates), max(c1, c2, target) + 1)
+    )
+    return GateCircuit(gates, max(c1, c2, target) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -204,51 +188,11 @@ def compile_decoding(n: int, alphas: AlphaCoefficients) -> GateCircuit:
         if flip_wire is not None:
             gates.append(gate_x(flip_wire))
         phase_u = (alphas[mu] / alphas[0]) * np.eye(2)
-        gates.extend(compile_ccu("11", phase_u, (0, 1), 2).gates)
+        gates.extend(compile_ccu(phase_u, (0, 1), 2).gates)
         sig_t = SIGMA[mu].T
         for wire in range(2, n + 1):
-            gates.extend(compile_ccu("11", sig_t, (0, 1), wire).gates)
+            gates.extend(compile_ccu(sig_t, (0, 1), wire).gates)
         if flip_wire is not None:
             gates.append(gate_x(flip_wire))
     gates.extend(_v_tilde_inverse_gates())
     return GateCircuit(tuple(gates), n + 1)
-
-
-# ---------------------------------------------------------------------------
-# accounting
-
-
-@dataclass(frozen=True)
-class GateCountReport:
-    """Measured two-qubit counts next to the overall cycle budget."""
-
-    n: int
-    enc_2q: int
-    dec_2q: int
-    total_2q: int  # the "at most 21n + 11" budget for a full cycle
-    measured_total: int
-
-    @classmethod
-    def from_counts(cls, n: int, enc_2q: int, dec_2q: int) -> "GateCountReport":
-        return cls(n, enc_2q, dec_2q, cycle_two_qubit_budget(n), enc_2q + dec_2q)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "enc_2q": self.enc_2q,
-            "dec_2q": self.dec_2q,
-            "total_2q": self.total_2q,
-            "measured_total": self.measured_total,
-            "enc_formula_4n": encoding_two_qubit_gates(self.n),
-            "dec_formula_15n_plus_7": decoding_two_qubit_gates(self.n),
-            "within_budget": self.measured_total <= self.total_2q,
-        }
-
-
-def gate_count_report(n: int) -> GateCountReport:
-    """Count two-qubit gates in freshly compiled circuits for clone count n."""
-    if n < 2:
-        raise CompileError(f"reports start at n = 2, got {n}")
-    enc = compile_encoding(n, math.pi / 4).two_qubit_count
-    dec = compile_decoding(n, AlphaCoefficients.standard(n)).two_qubit_count
-    return GateCountReport.from_counts(n, enc, dec)

@@ -10,8 +10,8 @@ about raw positions directly; it assigns each position a *role*:
 ``N1 .. Nn``     noise qubits (the consumable key material)
 
 Dense simulation is capped at :data:`DEFAULT_MAX_QUBITS` qubits; the cap can
-be raised or lowered at runtime (the command line honours the
-``QCLONE_MAX_QUBITS`` environment variable for the same purpose).
+be raised or lowered at runtime (the command line reads the
+``QCLONE_MAX_QUBITS`` environment variable for the length of one run).
 """
 from __future__ import annotations
 

@@ -78,7 +78,7 @@ class DensityOperator:
             raise StateValidationError(
                 f"matrix of shape {mat.shape} does not match a {n}-qubit layout"
             )
-        if not np.allclose(mat, mat.conj().T, atol=STATE_ATOL):
+        if not np.abs(mat - mat.conj().T).max() <= STATE_ATOL:
             raise StateValidationError("density operator is not Hermitian")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > STATE_ATOL:
@@ -164,7 +164,7 @@ def check_unitary(u) -> np.ndarray:
     dim = u.shape[0]
     if dim & (dim - 1):
         raise StateValidationError(f"operator dimension {dim} is not a power of two")
-    if not np.allclose(u.conj().T @ u, np.eye(dim), atol=STATE_ATOL):
+    if not np.abs(u.conj().T @ u - np.eye(dim)).max() <= STATE_ATOL:
         raise StateValidationError("operator is not unitary")
     return u
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import embed_operator, random_unitary
 from qclone.claims import CIRCUIT_EQUIV_ATOL
 from qclone.circuits import (
-    RECONSTRUCT_MAX_QUBITS,
     CircuitError,
     CircuitExportError,
     Gate,
@@ -33,8 +32,8 @@ from qclone.circuits import (
 )
 from qclone.compiler import compile_decoding, compile_encoding
 from qclone.protocol import AlphaCoefficients, Variant
-from qclone.registers import RegisterLayout
-from qclone.states import StateVector, apply_unitary, basis_state
+from qclone.registers import RegisterLayout, max_register_qubits
+from qclone.states import StateValidationError, StateVector, apply_unitary, basis_state
 
 
 def _rz(theta: float) -> np.ndarray:
@@ -92,6 +91,8 @@ def test_gate_validation_errors():
         gate_cu(0, 1, np.eye(4))  # wrong matrix shape
     with pytest.raises(Exception):
         gate_cu(0, 1, np.array([[1.0, 0.0], [0.0, 2.0]]))  # not unitary
+    with pytest.raises(StateValidationError, match="not unitary"):
+        gate_cu(0, 1, np.diag([1.0, 1.0 + 4e-6]))  # |U^dagger U - I| = 8e-6 > STATE_ATOL
 
 
 def test_circuit_rejects_out_of_range_wires():
@@ -156,7 +157,7 @@ def test_empty_circuit_is_the_identity(rng):
 
 
 def test_reconstruction_cap():
-    wide = GateCircuit((gate_h(0),), RECONSTRUCT_MAX_QUBITS + 1)
+    wide = GateCircuit((gate_h(0),), max_register_qubits() // 2 + 1)
     with pytest.raises(CircuitError):
         circuit_to_unitary(wide)
 

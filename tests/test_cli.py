@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, JSON reports, files on disk."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qclone
 from qclone import cli
 from qclone.cli import (
     EXIT_CHECK_FAILED,
@@ -26,6 +29,7 @@ from qclone.cli import (
     parse_psi,
     report_schema,
 )
+from qclone.registers import DEFAULT_MAX_QUBITS, max_register_qubits
 from qclone.states import StateVector
 
 
@@ -465,12 +469,56 @@ def test_register_cap_env_bad_value(capsys, monkeypatch):
     assert "QCLONE_MAX_QUBITS" in err
 
 
-@pytest.fixture(autouse=True)
-def _restore_register_cap():
-    from qclone.registers import DEFAULT_MAX_QUBITS, set_max_register_qubits
+def test_register_cap_env_holds_for_one_run_only(capsys, monkeypatch):
+    monkeypatch.setenv("QCLONE_MAX_QUBITS", "4")
+    assert run_cli(capsys, "demo", "--n", "1", "--psi", "0")[0] == EXIT_OK
+    monkeypatch.delenv("QCLONE_MAX_QUBITS")
+    assert max_register_qubits() == DEFAULT_MAX_QUBITS
+    assert run_cli(capsys, "demo", "--n", "2", "--psi", "0")[0] == EXIT_OK  # 5 qubits
 
-    yield
-    set_max_register_qubits(DEFAULT_MAX_QUBITS)
+
+@pytest.mark.parametrize(
+    "cap, n, expected", [(4, 7, EXIT_INPUT_ERROR), (8, 3, EXIT_OK), (8, 4, EXIT_INPUT_ERROR)]
+)
+def test_compile_rebuilds_circuits_of_up_to_half_the_cap(
+    capsys, monkeypatch, tmp_path, cap, n, expected
+):
+    """A 2^w-square unitary holds as many amplitudes as a 2w-qubit register."""
+    monkeypatch.setenv("QCLONE_MAX_QUBITS", str(cap))
+    code, out, err = run_cli(capsys, "compile", "--n", str(n), "--out", str(tmp_path))
+    assert code == expected, err
+    if expected == EXIT_INPUT_ERROR:
+        assert out == ""
+        assert err.startswith("error: ") and f"exceeds the cap of {cap}" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+def _qclone_error_classes() -> list[type]:
+    """Every exception class that a qclone module defines."""
+    found = []
+    for info in pkgutil.iter_modules(qclone.__path__):
+        module = importlib.import_module(f"qclone.{info.name}")
+        found += [
+            obj
+            for obj in vars(module).values()
+            if isinstance(obj, type)
+            and issubclass(obj, Exception)
+            and obj.__module__ == module.__name__
+        ]
+    return found
+
+
+def test_every_qclone_error_class_exits_2_on_one_line(capsys, monkeypatch):
+    classes = _qclone_error_classes()
+    assert len(classes) >= 13
+    for error in classes:
+
+        def raise_it(args, error=error):
+            raise error("bad input")
+
+        monkeypatch.setattr(cli, "cmd_demo", raise_it)
+        code, out, err = run_cli(capsys, "demo")
+        assert (code, out, err) == (EXIT_INPUT_ERROR, "", "error: bad input\n"), error
 
 
 # ---------------------------------------------------------------------------

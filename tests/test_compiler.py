@@ -1,5 +1,6 @@
 """Compiled encoder/decoder circuits against their dense references."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import embed_operator, random_unitary
+from qclone import cli
 from qclone.circuits import (
     GateCircuit,
     circuit_to_unitary,
@@ -15,13 +17,11 @@ from qclone.circuits import (
 )
 from qclone.compiler import (
     CompileError,
-    GateCountReport,
     basis_change_V_tilde,
     _v_tilde_inverse_gates,
     compile_ccu,
     compile_decoding,
     compile_encoding,
-    gate_count_report,
     principal_sqrt_2x2,
 )
 from qclone.protocol import (
@@ -73,6 +73,10 @@ def test_principal_sqrt_input_validation():
         principal_sqrt_2x2(np.eye(4))
     with pytest.raises(StateValidationError):
         principal_sqrt_2x2(np.array([[1.0, 0.0], [0.0, 2.0]]))
+    # Unitary to 2e-11, within STATE_ATOL, but its root squares back to the
+    # nearest unitary, 1e-11 away from u: more than the 1e-12 self-check allows.
+    with pytest.raises(CompileError, match="reproduce"):
+        principal_sqrt_2x2(np.diag([1.0, 1j * (1 + 1e-11)]))
 
 
 # ---------------------------------------------------------------------------
@@ -112,61 +116,43 @@ def test_encoder_rejects_bad_n():
 # doubly-controlled units
 
 
-def _dense_ccu(pattern, u, c1, c2, target, width):
-    """Reference: apply u on target iff (c1, c2) carry the pattern bits."""
-    dim = 2**width
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for b1 in (0, 1):
-        for b2 in (0, 1):
-            proj = embed_operator(
-                np.diag([1 - b1, b1]), [c1], width
-            ) @ embed_operator(np.diag([1 - b2, b2]), [c2], width)
-            block = u if (b1, b2) == tuple(pattern) else np.eye(2)
-            total += proj @ embed_operator(block, [target], width)
-    return total
+def _dense_ccu(u, c1, c2, target, width):
+    """Reference: apply u on target iff c1 and c2 both carry 1."""
+    both = embed_operator(np.diag([0, 1]), [c1], width) @ embed_operator(
+        np.diag([0, 1]), [c2], width
+    )
+    return np.eye(2**width) - both + both @ embed_operator(u, [target], width)
 
 
-@pytest.mark.parametrize("pattern", [(0, 0), (0, 1), (1, 0), (1, 1)])
-def test_ccu_all_patterns(rng, pattern):
+def test_ccu_matches_dense_reference(rng):
     u = random_unitary(rng, 2)
-    circuit = compile_ccu(pattern, u, (0, 1), 2)
+    circuit = compile_ccu(u, (0, 1), 2)
     dense = circuit_to_unitary(circuit)
-    assert np.abs(dense - _dense_ccu(pattern, u, 0, 1, 2, 3)).max() < CCU_EQUIV_ATOL
+    assert np.abs(dense - _dense_ccu(u, 0, 1, 2, 3)).max() < CCU_EQUIV_ATOL
     assert circuit.two_qubit_count == 5
-    assert circuit.one_qubit_count == 2 * sum(1 for b in pattern if b == 0)
-
-
-def test_ccu_accepts_string_patterns(rng):
-    u = random_unitary(rng, 2)
-    a = circuit_to_unitary(compile_ccu("10", u, (0, 1), 2))
-    b = circuit_to_unitary(compile_ccu((1, 0), u, (0, 1), 2))
-    assert np.allclose(a, b, atol=1e-15)
+    assert circuit.one_qubit_count == 0
 
 
 def test_ccu_on_scattered_wires(rng):
     u = random_unitary(rng, 2)
-    circuit = compile_ccu("11", u, (3, 0), 2)
+    circuit = compile_ccu(u, (3, 0), 2)
     assert circuit.num_qubits == 4
     dense = circuit_to_unitary(circuit)
-    assert np.abs(dense - _dense_ccu((1, 1), u, 3, 0, 2, 4)).max() < CCU_EQUIV_ATOL
+    assert np.abs(dense - _dense_ccu(u, 3, 0, 2, 4)).max() < CCU_EQUIV_ATOL
 
 
 def test_toffoli_is_exact(rng):
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    dense = circuit_to_unitary(compile_ccu("11", x, (0, 1), 2))
-    assert np.abs(dense - _dense_ccu((1, 1), x, 0, 1, 2, 3)).max() < 1e-12
+    dense = circuit_to_unitary(compile_ccu(x, (0, 1), 2))
+    assert np.abs(dense - _dense_ccu(x, 0, 1, 2, 3)).max() < 1e-12
 
 
 def test_ccu_input_validation(rng):
     u = random_unitary(rng, 2)
     with pytest.raises(CompileError):
-        compile_ccu("22", u, (0, 1), 2)
+        compile_ccu(u, (0, 1), 1)  # target collides with a control
     with pytest.raises(CompileError):
-        compile_ccu("111", u, (0, 1), 2)
-    with pytest.raises(CompileError):
-        compile_ccu("11", u, (0, 1), 1)  # target collides with a control
-    with pytest.raises(CompileError):
-        compile_ccu("11", random_unitary(rng, 4), (0, 1), 2)
+        compile_ccu(random_unitary(rng, 4), (0, 1), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -228,28 +214,32 @@ def test_decoder_rejects_single_pair():
 
 
 # ---------------------------------------------------------------------------
-# accounting
+# accounting: the counts block of `compile --what both`
 
 
 @pytest.mark.parametrize(
     "n,enc,dec,budget",
     [(2, 8, 37, 53), (3, 12, 52, 74), (5, 20, 82, 116)],
 )
-def test_gate_count_report_values(n, enc, dec, budget):
-    report = gate_count_report(n)
-    assert report == GateCountReport(
-        n=n, enc_2q=enc, dec_2q=dec, total_2q=budget, measured_total=enc + dec
-    )
-    d = report.to_dict()
-    assert d["enc_formula_4n"] == enc
-    assert d["dec_formula_15n_plus_7"] == dec
-    assert d["within_budget"] is True
-    assert d["measured_total"] == 19 * n + 7
+def test_gate_count_report_values(capsys, tmp_path, n, enc, dec, budget):
+    code = cli.main(["compile", "--n", str(n), "--what", "both", "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["counts"] == {
+        "n": n,
+        "enc_2q": enc,
+        "dec_2q": dec,
+        "total_2q": budget,
+        "measured_total": 19 * n + 7,
+        "enc_formula_4n": enc,
+        "dec_formula_15n_plus_7": dec,
+        "within_budget": True,
+    }
 
 
-def test_gate_count_report_rejects_small_n():
-    with pytest.raises(CompileError):
-        gate_count_report(1)
+def test_gate_count_report_rejects_small_n(capsys, tmp_path):
+    code = cli.main(["compile", "--n", "1", "--what", "both", "--out", str(tmp_path)])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "starts at n = 2" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

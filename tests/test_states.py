@@ -67,6 +67,8 @@ def test_density_operator_validation():
     layout = RegisterLayout.generic(1)
     with pytest.raises(StateValidationError):
         DensityOperator(np.array([[0.5, 0.5j], [0.5j, 0.5]]), layout)  # not Hermitian
+    with pytest.raises(StateValidationError, match="not Hermitian"):
+        DensityOperator(np.array([[0.5, 0.3 + 1e-6], [0.3, 0.5]]), layout)  # 1e-6 > STATE_ATOL
     with pytest.raises(StateValidationError):
         DensityOperator(np.eye(2), layout)  # trace 2
     with pytest.raises(StateValidationError):
@@ -162,6 +164,8 @@ def test_apply_unitary_rejects_the_same_inputs_for_either_kind_of_state(rng):
         (random_unitary(rng, 4), [0, 3], "out of range"),
         (random_unitary(rng, 4), [0], "does not fit"),
         (np.diag([1.0, 2.0]), [0], "not unitary"),
+        (np.diag([1.0, 1.0 + 4e-6]), [0], "not unitary"),  # 8e-6 off, > STATE_ATOL
+        (np.diag([1.0, np.nan]), [0], "not unitary"),
     ]
     for u, targets, match in bad:
         messages = []
