@@ -51,7 +51,6 @@ from .protocol import (
     ProtocolConfig,
     ProtocolError,
     Variant,
-    append_fresh_pair,
     decoding_unitary,
     decrypt,
     decrypt_clone,
@@ -153,14 +152,18 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _finish(report: dict, out: str | None) -> int:
-    """Judge, render and write a report: exit 0 exactly when every check passed."""
-    report["passed"] = all(c.passed for c in report["checks"])
-    text = render_report(report)
+def _write(text: str, out: str | None) -> None:
+    """Write a command's output to ``out`` atomically, or to stdout."""
     if out:
         atomic_write(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _finish(report: dict, out: str | None) -> int:
+    """Judge, render and write a report: exit 0 exactly when every check passed."""
+    report["passed"] = all(c.passed for c in report["checks"])
+    _write(render_report(report), out)
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
@@ -299,13 +302,7 @@ def cmd_sweep(args) -> int:
     except AnalysisError as exc:
         print(f"sweep check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    text = rows_to_csv(rows)
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.out:
-        atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(rows_to_csv(rows), args.out)
     return EXIT_OK
 
 
@@ -396,10 +393,7 @@ def cmd_iterate(args) -> int:
     probe_clone = plan.clones[0]
     for name in ("0", "1"):
         probe_state = execute_iterated_cloning(plan, named_state(name))
-        enlarged, fresh_pair = append_fresh_pair(probe_state)
-        out = decrypt_clone(
-            plan, enlarged, probe_clone, key_override={plan.depth: fresh_pair}
-        )
+        out = decrypt_clone(plan, probe_state, probe_clone, key_override={plan.depth: None})
         probe_marginals.append(out.recovered)
     wrong_key_distance = trace_distance(*probe_marginals)
 

@@ -21,6 +21,7 @@ qubit itself can be decrypted against the noise register alone.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -28,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .paulis import SIGMA, PauliString
-from .registers import RegisterLayout
+from .registers import RegisterLayout, check_register_size
 from .states import (
     DensityOperator,
     State,
@@ -472,26 +473,40 @@ def _tree_operators() -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 
 
 def execute_iterated_cloning(plan: IteratedCloningPlan, psi: StateVector) -> StateVector:
-    """Run every encoding step of the plan on psi (x) Bell pairs."""
+    """Grow the register from psi: each plan step appends its two fresh Bell
+    pairs at the next free positions, then encodes.  No encoder touches a pair
+    appended after it, so only the last step sweeps all ``plan.num_qubits``
+    qubits, a width checked against the register cap before any allocation.
+    """
     if psi.num_qubits != 1:
         raise ProtocolError("the input must be a single-qubit state")
-    groups = [psi.amplitudes] + [bell_pair_vector()] * ((plan.num_qubits - 1) // 2)
-    state = kron_states(groups, plan.layout)
+    check_register_size(plan.num_qubits)
+    state = StateVector(psi.amplitudes, RegisterLayout.generic(1))
     u, _ = _tree_operators()
     for step in plan.steps:
+        for _ in step.signals:  # one fresh pair per signal
+            state = append_fresh_pair(state)[0]
         state = apply_unitary(state, u, [step.data, *step.signals])
     return state
 
 
-def append_fresh_pair(state: StateVector) -> tuple[StateVector, tuple[int, int]]:
+def append_fresh_pair(state: State) -> tuple[State, tuple[int, int]]:
     """Adjoin one Bell pair uncorrelated with everything else.
 
+    Takes a statevector or a density operator (rho (x) |phi><phi|).  The
+    state's qubits keep their positions and role names; the pair takes the
+    next two positions under the first two free names ``q<i>``, i >= n.
     Returns the enlarged state and the new pair's positions — key material
     that is deliberately wrong for every clone.
     """
     n = state.num_qubits
-    fresh = kron_states([state.amplitudes, bell_pair_vector()], RegisterLayout.generic(n + 2))
-    return fresh, (n, n + 1)
+    roles = dict(state.layout.roles)
+    free = (f"q{i}" for i in itertools.count(n) if f"q{i}" not in roles)
+    layout = RegisterLayout.from_map(roles | {next(free): n, next(free): n + 1})
+    if isinstance(state, StateVector):
+        return kron_states([state.amplitudes, bell_pair_vector()], layout), (n, n + 1)
+    check_register_size(n + 2)
+    return DensityOperator(np.kron(bell_projector(0), state.matrix), layout), (n, n + 1)
 
 
 def decrypt_clone(
@@ -499,30 +514,40 @@ def decrypt_clone(
     state: StateVector,
     clone: int,
     reference: StateVector | None = None,
-    key_override: dict[int, tuple[int, int]] | None = None,
+    key_override: dict[int, tuple[int, int] | None] | None = None,
 ) -> DecryptionOutcome:
     """Walk a clone's ancestry from the leaves up, consuming 2*depth key qubits.
 
     ``key_override`` substitutes the (noise, noise) pair used at a given level
     — deliberately handing the decoder the wrong key shows that nothing about
-    the input leaks without the right one.
+    the input leaks without the right one; ``None`` stands for a fresh Bell
+    pair that the register never held.
 
-    Every decoder acts inside the key cone (the clone and its keys, sorted),
-    and a partial trace commutes with unitaries on what it keeps, so the walk
-    runs on the cone's density operator.  ``post_state`` is the decrypted cone,
-    ``carrier`` the clone's index in it and ``residual`` the consumed keys.
+    Every decoder acts inside the key cone (the clone and its in-register
+    keys, sorted), and a partial trace commutes with unitaries on what it
+    keeps, so the walk runs on the cone's density operator, with any fresh
+    pair appended to it.  ``post_state`` is the decrypted cone, ``carrier``
+    the clone's index in it and ``residual`` the consumed keys.
     """
     key_override = key_override or {}
     unknown = sorted(set(key_override) - set(range(1, plan.depth + 1)))
     if unknown:
         raise ProtocolError(f"key_override levels {unknown} outside 1..{plan.depth}")
+    allowed = set(range(state.num_qubits)) - {clone}
+    for level, given in key_override.items():
+        pair = given if isinstance(given, (tuple, list)) else ()
+        if given is not None and not len(pair) == len(allowed & set(pair)) == 2:
+            raise ProtocolError(f"key_override level {level}: {given!r} is neither None nor"
+                                f" two distinct register qubits other than the clone {clone}")
     _, undo = _tree_operators()
-    walk = [
-        (undo[role], [clone, *key_override.get(step.level, step.noises)])
-        for step, role in plan.ancestry(clone)
-    ]
-    cone = sorted({q for _, qubits in walk for q in qubits})
+    chain = plan.ancestry(clone)
+    keys = [key_override.get(step.level, step.noises) for step, _ in chain]
+    cone = sorted({clone}.union(*filter(None, keys)))
     cone_state = partial_trace(state, cone)
-    for u, qubits in walk:
-        cone_state = apply_unitary(cone_state, u, [cone.index(q) for q in qubits])
+    for (_, role), pair in zip(chain, keys):
+        if pair is None:
+            cone_state, local = append_fresh_pair(cone_state)
+        else:
+            local = [cone.index(q) for q in pair]
+        cone_state = apply_unitary(cone_state, undo[role], [cone.index(clone), *local])
     return _finish_outcome(cone_state, cone.index(clone), reference)

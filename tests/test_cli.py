@@ -180,6 +180,16 @@ def test_sweep_csv_file_is_deterministic(capsys, tmp_path):
     assert len(first.decode().strip().splitlines()) == 12
 
 
+def test_sweep_writes_the_same_bytes_to_stdout_and_to_a_file(capsys, tmp_path):
+    path = tmp_path / "sweep.csv"
+    argv = ("sweep", "--n", "2", "--points", "7")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert run_cli(capsys, *argv, "--out", str(path)) == (EXIT_OK, "", "")
+    assert path.read_bytes() == out.encode()
+    assert out.endswith("\n") and not out.endswith("\n\n")
+
+
 def test_sweep_peak_at_quarter_pi(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--points", "5", "--tmax", str(math.pi))
     assert code == EXIT_OK

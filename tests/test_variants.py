@@ -12,6 +12,7 @@ from qclone.protocol import (
     ProtocolError,
     Variant,
     append_fresh_pair,
+    bell_pair_vector,
     decrypt,
     decrypt_clone,
     decrypt_from_A,
@@ -24,10 +25,13 @@ from qclone.protocol import (
     plan_iterated_cloning,
     prepare_initial,
 )
+from qclone.cli import main
+from qclone.registers import RegisterOverflowError
 from qclone.states import (
     StateVector,
     apply_unitary,
     haar_random_qubit,
+    kron_states,
     partial_trace,
     trace_distance,
 )
@@ -279,3 +283,127 @@ def test_tree_decryption_consumes_its_key(depth):
         residuals = [decrypt_clone(plan, s, clone).residual for s in states]
         for a, b in itertools.combinations(residuals, 2):
             assert trace_distance(a, b) < 1e-12, clone
+
+
+# ---------------------------------------------------------------------------
+# the grown tree register and the fresh pair on the key cone
+
+
+def kron_then_encode(plan, psi):
+    """Oracle: the whole register as psi (x) Bell pairs, then every encoder on it."""
+    groups = [psi.amplitudes] + [bell_pair_vector()] * ((plan.num_qubits - 1) // 2)
+    state = kron_states(groups, plan.layout)
+    u_enc = encoding_unitary(2, math.pi / 4)
+    for step in plan.steps:
+        state = apply_unitary(state, u_enc, [step.data, *step.signals])
+    return state
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("name", ["0", "1", "+", None])
+def test_grown_register_matches_kron_then_encode(depth, name, rng):
+    psi = haar_random_qubit(rng) if name is None else named_state(name)
+    plan = plan_iterated_cloning(depth)
+    grown = execute_iterated_cloning(plan, psi)
+    oracle = kron_then_encode(plan, psi)
+    assert grown.layout == oracle.layout == plan.layout
+    assert np.abs(grown.amplitudes - oracle.amplitudes).max() < 1e-15
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_fresh_pair_on_the_cone_matches_the_appended_register(depth, rng):
+    psi = haar_random_qubit(rng)
+    plan = plan_iterated_cloning(depth)
+    state = execute_iterated_cloning(plan, psi)
+    enlarged, fresh = append_fresh_pair(state)
+    for clone in plan.clones:
+        for level in range(1, depth + 1):
+            got = decrypt_clone(plan, state, clone, psi, key_override={level: None})
+            expect = decrypt_clone(plan, enlarged, clone, psi, key_override={level: fresh})
+            for a, b in ((got.recovered, expect.recovered), (got.post_state, expect.post_state)):
+                assert np.abs(a.matrix - b.matrix).max() < 1e-14, (clone, level)
+            assert got.carrier == expect.carrier
+
+
+def test_fresh_pairs_at_every_level_match_the_appended_register(rng):
+    plan = plan_iterated_cloning(2)
+    state = execute_iterated_cloning(plan, haar_random_qubit(rng))
+    once, first = append_fresh_pair(state)
+    twice, second = append_fresh_pair(once)
+    clone = plan.clones[4]
+    got = decrypt_clone(plan, state, clone, key_override={1: None, 2: None})
+    expect = decrypt_clone(plan, twice, clone, key_override={2: first, 1: second})
+    assert got.post_state.num_qubits == expect.post_state.num_qubits == 5
+    assert np.abs(got.post_state.matrix - expect.post_state.matrix).max() < 1e-14
+
+
+@pytest.mark.parametrize("keep", [(0, 1, 2), (0, 5, 6), (2,), (6, 0, 3)])
+def test_fresh_pair_on_a_density_operator_matches_the_reduced_register(keep, rng):
+    plan = plan_iterated_cloning(2)
+    state = execute_iterated_cloning(plan, haar_random_qubit(rng))
+    enlarged, (s, n) = append_fresh_pair(state)
+    expect = partial_trace(enlarged, [*keep, s, n])
+    got, pair = append_fresh_pair(partial_trace(state, keep))
+    assert pair == (len(keep), len(keep) + 1)
+    assert np.abs(got.matrix - expect.matrix).max() < 1e-15
+    kept = partial_trace(state, keep).layout
+    assert [got.layout.role_at(i) for i in range(len(keep))] == [
+        kept.role_at(i) for i in range(len(keep))
+    ]
+    assert len({role for role, _ in got.layout.roles}) == len(keep) + 2
+
+
+def test_fresh_pair_on_a_full_density_operator_keeps_the_generic_layout(rng):
+    plan = plan_iterated_cloning(1)
+    state = execute_iterated_cloning(plan, haar_random_qubit(rng))
+    got, _ = append_fresh_pair(partial_trace(state, range(plan.num_qubits)))
+    assert got.layout == append_fresh_pair(state)[0].layout
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        lambda clone: {2: (5,)},
+        lambda clone: {2: (5, 5)},
+        lambda clone: {2: (clone, 5)},
+        lambda clone: {1: (5, 17)},
+        lambda clone: {2: 5},
+    ],
+    ids=["one-qubit", "repeated-qubit", "the-clone", "outside-the-register", "not-a-pair"],
+)
+def test_key_override_values_are_validated(override):
+    plan = plan_iterated_cloning(2)
+    state = execute_iterated_cloning(plan, named_state("0"))
+    clone = plan.clones[0]
+    level = next(iter(override(clone)))
+    with pytest.raises(ProtocolError, match=f"key_override level {level}"):
+        decrypt_clone(plan, state, clone, key_override=override(clone))
+
+
+def test_iterate_never_holds_a_register_wider_than_the_plan(monkeypatch, capsys):
+    widths = []
+
+    def spy(width, fn):
+        def wrapped(*args):
+            widths.append(width(*args))
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        qclone.protocol, "kron_states", spy(lambda g, layout: layout.num_qubits, kron_states)
+    )
+    monkeypatch.setattr(
+        qclone.protocol, "partial_trace", spy(lambda s, keep: s.num_qubits, partial_trace)
+    )
+    assert main(["iterate", "--k", "2", "--psi", "+"]) == 0
+    capsys.readouterr()
+    assert widths and max(widths) == plan_iterated_cloning(2).num_qubits == 17
+
+
+def test_tree_build_checks_the_cap_before_the_first_kron(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qclone.protocol, "kron_states", lambda *a: calls.append(a))
+    with pytest.raises(RegisterOverflowError, match="53 qubits"):
+        execute_iterated_cloning(plan_iterated_cloning(3), named_state("0"))
+    assert calls == []
