@@ -32,7 +32,7 @@ def main() -> int:
         curves[n] = [r.I_simulated for r in rows]
         path = os.path.join(args.outdir, f"coherent_information_n{n}.csv")
         with open(path, "w") as fh:
-            fh.write(rows_to_csv(rows) + "\n")
+            fh.write(rows_to_csv(rows))
         peak = max(rows, key=lambda r: r.I_simulated)
         print(
             f"n={n}: wrote {len(rows)} rows to {path}; "

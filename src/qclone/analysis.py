@@ -20,7 +20,14 @@ from itertools import combinations, product
 import numpy as np
 
 from .claims import FORMULA_SIM_ATOL, check
-from .registers import ROLE_DATA, ROLE_REFERENCE, RegisterLayout, noise_role, signal_role
+from .registers import (
+    ROLE_DATA,
+    ROLE_REFERENCE,
+    QcloneError,
+    RegisterLayout,
+    noise_role,
+    signal_role,
+)
 from .states import (
     StateVector,
     _split,
@@ -40,7 +47,7 @@ from .protocol import (
 _LOG_CLAMP = 1e-12
 
 
-class AnalysisError(ValueError):
+class AnalysisError(QcloneError):
     """Inconsistent analysis request or violated internal identity."""
 
 

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .claims import CIRCUIT_EQUIV_ATOL
-from .registers import max_register_qubits
+from .registers import QcloneError, RegisterOverflowError, check_register_size
 from .states import StateVector, _contract, apply_unitary, check_unitary
 
 # Most wires one fused block of consecutive gates may touch.  A pass over the
@@ -30,7 +30,7 @@ _P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 _P1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
 
 
-class CircuitError(ValueError):
+class CircuitError(QcloneError):
     """Malformed gate, circuit, or reconstruction request."""
 
 
@@ -153,13 +153,6 @@ class GateCircuit:
     def one_qubit_count(self) -> int:
         return sum(1 for g in self.gates if not g.is_two_qubit)
 
-    @property
-    def counts(self) -> dict[str, int]:
-        return {"two_qubit": self.two_qubit_count, "one_qubit": self.one_qubit_count}
-
-    def __len__(self) -> int:
-        return len(self.gates)
-
 
 def _fused_blocks(circuit: GateCircuit):
     """Yield ``(wires, product)`` for each maximal run of consecutive gates
@@ -204,18 +197,12 @@ def apply_circuit(state: StateVector, circuit: GateCircuit, wire_map=None) -> St
 
 
 def circuit_to_unitary(circuit: GateCircuit) -> np.ndarray:
-    """Dense product of all gate embeddings, earliest gate rightmost.
-
-    A 2^n-square matrix holds as many amplitudes as a 2n-qubit register, so
-    the register cap bounds it too.
-    """
-    n, cap = circuit.num_qubits, max_register_qubits()
-    if 2 * n > cap:
-        raise CircuitError(
-            f"a dense {n}-qubit unitary holds as many amplitudes as a {2 * n}-qubit"
-            f" register, which exceeds the cap of {cap}"
-            " (see set_max_register_qubits / QCLONE_MAX_QUBITS)"
-        )
+    """Dense product of all gate embeddings, earliest gate rightmost."""
+    n = circuit.num_qubits
+    try:
+        check_register_size(n, matrix=True)
+    except RegisterOverflowError as exc:
+        raise CircuitError(str(exc)) from None
     dim = 2**n
     # Columns of the accumulating unitary are a batch of statevectors.
     u = np.eye(dim, dtype=np.complex128)

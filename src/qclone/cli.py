@@ -3,9 +3,10 @@
 Every command is deterministic under a fixed seed, prints floats with 12
 significant digits, writes artifacts atomically (temp file + rename), and
 exits 0 exactly when all of its embedded checks pass: 1 when one fails, 2 on
-bad input (one ``error:`` line) and 3 on any other exception (one
-``internal error:`` line, no traceback).  JSON reports validate against the
-schema shipped in ``qclone/data/report.schema.json``.
+refused input, any ``QcloneError`` or ``OSError`` (one ``error:`` line), and
+3 on any other exception (one ``internal error:`` line, no traceback).  An
+over-cap register or dense matrix is refused before it is allocated.  JSON
+reports validate against the schema in ``qclone/data/report.schema.json``.
 """
 from __future__ import annotations
 
@@ -29,12 +30,7 @@ from .analysis import (
     rows_to_csv,
     sweep_coherent_information,
 )
-from .circuits import (
-    CircuitError,
-    circuit_to_unitary,
-    equivalence_up_to_global_phase,
-    export_circuit,
-)
+from .circuits import circuit_to_unitary, equivalence_up_to_global_phase, export_circuit
 from .claims import (
     Check,
     check,
@@ -42,14 +38,12 @@ from .claims import (
     decoding_two_qubit_gates,
     encoding_two_qubit_gates,
 )
-from .compiler import CompileError, compile_decoding, compile_encoding
-from .paulis import PauliError
+from .compiler import compile_decoding, compile_encoding
 from .protocol import (
     PAULI_EIGENSTATE_AMPLITUDES,
     AlphaCoefficients,
     OddCloneCountError,
     ProtocolConfig,
-    ProtocolError,
     Variant,
     decoding_unitary,
     decrypt,
@@ -64,9 +58,8 @@ from .protocol import (
     prepare_initial,
     reverse_encoding_recovery,
 )
-from .registers import RegisterError, max_register_qubits, set_max_register_qubits
+from .registers import QcloneError, max_register_qubits, set_max_register_qubits
 from .states import (
-    StateValidationError,
     StateVector,
     haar_random_qubit,
     partial_trace,
@@ -82,7 +75,7 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
 
-class CliInputError(ValueError):
+class CliInputError(QcloneError):
     """Malformed command-line input (bad psi spec, bad paths, ...)."""
 
 
@@ -539,24 +532,14 @@ def main(argv=None) -> int:
         if cap is not None:
             try:
                 set_max_register_qubits(int(cap))
-            except (ValueError, RegisterError) as exc:
+            except ValueError as exc:
                 print(f"error: bad QCLONE_MAX_QUBITS: {exc}", file=sys.stderr)
                 return EXIT_INPUT_ERROR
         args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise CliInputError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
-    except (
-        CliInputError,
-        ProtocolError,
-        CompileError,
-        CircuitError,
-        AnalysisError,
-        StateValidationError,
-        RegisterError,
-        PauliError,
-        OSError,
-    ) as exc:
+    except (QcloneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:

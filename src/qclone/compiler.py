@@ -29,10 +29,11 @@ from .circuits import (
 )
 from .paulis import SIGMA
 from .protocol import AlphaCoefficients, Variant
+from .registers import QcloneError
 from .states import check_unitary
 
 
-class CompileError(ValueError):
+class CompileError(QcloneError):
     """Request outside what the compiler supports."""
 
 

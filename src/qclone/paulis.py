@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .registers import QcloneError, check_register_size
+
 SIGMA = (
     np.eye(2, dtype=np.complex128),
     np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -24,7 +26,7 @@ _MASK_BITS = ((0, 0), (1, 0), (1, 1), (0, 1))
 _I_POWERS = (1, 1j, -1, -1j)
 
 
-class PauliError(ValueError):
+class PauliError(QcloneError):
     """Ill-formed Pauli string request."""
 
 
@@ -67,6 +69,7 @@ class PauliString:
                 f"string touches qubit {(self.x_mask | self.z_mask).bit_length() - 1}"
                 f" but register has {num_qubits} qubits"
             )
+        check_register_size(num_qubits, matrix=True)
         cols = np.arange(2**num_qubits)
         parity = np.zeros_like(cols)
         for q in range(num_qubits):

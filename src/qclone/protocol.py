@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .paulis import SIGMA, PauliString
-from .registers import RegisterLayout, check_register_size
+from .registers import QcloneError, RegisterLayout, check_register_size
 from .states import (
     DensityOperator,
     State,
@@ -38,12 +38,13 @@ from .states import (
     fidelity_pure,
     kron_states,
     partial_trace,
+    single_qubit,
 )
 
 ANGLE_ATOL = 1e-9
 
 
-class ProtocolError(ValueError):
+class ProtocolError(QcloneError):
     """Configuration or state incompatible with the requested operation."""
 
 
@@ -120,8 +121,6 @@ def named_state(name: str) -> StateVector:
             f"unknown state name {name!r}; choose from"
             f" {sorted(PAULI_EIGENSTATE_AMPLITUDES)}"
         ) from None
-    from .states import single_qubit
-
     return single_qubit(a0, a1)
 
 
@@ -198,10 +197,6 @@ class AlphaCoefficients:
         return cls((1.0, 1j, -(1j ** (n + 1)), 1j))
 
     @classmethod
-    def rotated_x2(cls, n: int) -> "AlphaCoefficients":
-        return cls((1.0, 1j, 1j, -((-1j) ** (n + 1))))
-
-    @classmethod
     def for_angle(cls, n: int, t: float, variant: Variant = Variant.STANDARD) -> "AlphaCoefficients":
         """alpha_mu = c_0(t)/c_mu(t); unimodular exactly at the accepted angles."""
         if not is_accepted_decrypt_angle(t):
@@ -225,6 +220,7 @@ def decoding_unitary(n: int, alphas: AlphaCoefficients, target: int = 1) -> np.n
     if not 1 <= target <= n:
         raise ProtocolError(f"target {target} outside 1..{n}")
     others = [s for s in range(1, n + 1) if s != target]
+    check_register_size(n + 1, matrix=True)
     total = np.zeros((2 ** (n + 1),) * 2, dtype=np.complex128)
     for mu in range(4):
         for nu in range(4):
@@ -435,8 +431,11 @@ class IteratedCloningPlan:
 
 
 def plan_iterated_cloning(depth: int) -> IteratedCloningPlan:
+    """Lay out the tree, whose 2*3^depth - 1 qubits are checked against the
+    register cap before a step is planned."""
     if depth < 1:
         raise ProtocolError(f"need depth >= 1, got {depth}")
+    check_register_size(2 * 3**depth - 1)
     steps: list[CloningStep] = []
     current = [0]
     next_free = 1
@@ -476,11 +475,10 @@ def execute_iterated_cloning(plan: IteratedCloningPlan, psi: StateVector) -> Sta
     """Grow the register from psi: each plan step appends its two fresh Bell
     pairs at the next free positions, then encodes.  No encoder touches a pair
     appended after it, so only the last step sweeps all ``plan.num_qubits``
-    qubits, a width checked against the register cap before any allocation.
+    qubits.
     """
     if psi.num_qubits != 1:
         raise ProtocolError("the input must be a single-qubit state")
-    check_register_size(plan.num_qubits)
     state = StateVector(psi.amplitudes, RegisterLayout.generic(1))
     u, _ = _tree_operators()
     for step in plan.steps:
@@ -505,7 +503,7 @@ def append_fresh_pair(state: State) -> tuple[State, tuple[int, int]]:
     layout = RegisterLayout.from_map(roles | {next(free): n, next(free): n + 1})
     if isinstance(state, StateVector):
         return kron_states([state.amplitudes, bell_pair_vector()], layout), (n, n + 1)
-    check_register_size(n + 2)
+    check_register_size(n + 2, matrix=True)
     return DensityOperator(np.kron(bell_projector(0), state.matrix), layout), (n, n + 1)
 
 

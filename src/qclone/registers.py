@@ -12,9 +12,11 @@ about raw positions directly; it assigns each position a *role*:
 Dense simulation is capped at :data:`DEFAULT_MAX_QUBITS` qubits; the cap can
 be raised or lowered at runtime (the command line reads the
 ``QCLONE_MAX_QUBITS`` environment variable for the length of one run).
+:func:`check_register_size` alone decides what counts against it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 DEFAULT_MAX_QUBITS = 24
@@ -25,7 +27,11 @@ ROLE_DATA = "A"
 ROLE_REFERENCE = "REF"
 
 
-class RegisterError(ValueError):
+class QcloneError(ValueError):
+    """Input that qclone refuses; the command line exits 2 on any of these."""
+
+
+class RegisterError(QcloneError):
     """Malformed layout or role lookup failure."""
 
 
@@ -44,12 +50,27 @@ def set_max_register_qubits(limit: int) -> None:
     _max_qubits = int(limit)
 
 
-def check_register_size(num_qubits: int) -> None:
-    if num_qubits > _max_qubits:
-        raise RegisterOverflowError(
-            f"register of {num_qubits} qubits exceeds the cap of {_max_qubits}"
-            " (see set_max_register_qubits / QCLONE_MAX_QUBITS)"
-        )
+def _count(qubits: int) -> str:
+    # Python refuses to print an integer of more than 4,300 digits.
+    return str(qubits) if qubits < 10**18 else f"about 10^{math.log10(qubits):.0f}"
+
+
+def check_register_size(num_qubits: int, matrix: bool = False) -> None:
+    """Refuse a dense object that the cap does not allow, before it is allocated.
+
+    A statevector on w qubits counts w.  A 2^w-square ``matrix`` holds as
+    many amplitudes as a 2w-qubit register, so it counts 2w.
+    """
+    width = 2 * num_qubits if matrix else num_qubits
+    if width <= _max_qubits:
+        return
+    what = f"register of {_count(width)} qubits"
+    if matrix:
+        what = f"a dense {_count(num_qubits)}-qubit matrix, as large as a {what},"
+    raise RegisterOverflowError(
+        f"{what} exceeds the cap of {_max_qubits}"
+        " (see set_max_register_qubits / QCLONE_MAX_QUBITS)"
+    )
 
 
 def signal_role(i: int) -> str:
@@ -131,10 +152,6 @@ class RegisterLayout:
     @property
     def data(self) -> int:
         return self.index(ROLE_DATA)
-
-    @property
-    def reference(self) -> int:
-        return self.index(ROLE_REFERENCE)
 
     def signal(self, i: int) -> int:
         return self.index(signal_role(i))

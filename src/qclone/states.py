@@ -16,7 +16,7 @@ from math import log2, prod
 
 import numpy as np
 
-from .registers import RegisterLayout, check_register_size
+from .registers import QcloneError, RegisterLayout, check_register_size
 
 STATE_ATOL = 1e-10
 # Eigenvalues in [-EIG_NEG_TOL, EIG_CLAMP] are treated as exact zeros when
@@ -26,7 +26,7 @@ EIG_CLAMP = 1e-12
 EIG_NEG_TOL = 1e-10
 
 
-class StateValidationError(ValueError):
+class StateValidationError(QcloneError):
     """Array fails the checks required of a state or density operator."""
 
 
@@ -69,10 +69,10 @@ class DensityOperator:
     layout: RegisterLayout
 
     def __post_init__(self) -> None:
+        n = self.layout.num_qubits
+        check_register_size(n, matrix=True)
         mat = _frozen_complex(self.matrix)
         object.__setattr__(self, "matrix", mat)
-        n = self.layout.num_qubits
-        check_register_size(n)
         dim = 2**n
         if mat.shape != (dim, dim):
             raise StateValidationError(
@@ -241,6 +241,7 @@ def partial_trace(state: State, keep) -> DensityOperator:
     keep = _qubit_set(keep, n, "keep")
     if not keep:
         raise StateValidationError("keep set must be non-empty")
+    check_register_size(len(keep), matrix=True)
     if isinstance(state, StateVector):
         mat = _split(state, keep)
         reduced = mat @ mat.conj().T
@@ -288,12 +289,10 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return total
 
 
-def fidelity_pure(rho: State, psi: StateVector) -> float:
+def fidelity_pure(rho: DensityOperator, psi: StateVector) -> float:
     """<psi| rho |psi> for a pure target state."""
     if rho.num_qubits != psi.num_qubits:
         raise StateValidationError("state sizes differ")
-    if isinstance(rho, StateVector):
-        return float(abs(np.vdot(psi.amplitudes, rho.amplitudes)) ** 2)
     val = np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)
     return float(val.real)
 

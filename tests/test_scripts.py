@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from qclone.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -31,6 +33,19 @@ def test_script_exits_zero(argv, tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_run_sweep_writes_the_csv_of_the_sweep_command(tmp_path):
+    subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_sweep.py"), "--points", "11", "--n", "1",
+         "--outdir", str(tmp_path)],
+        check=True,
+        capture_output=True,
+        timeout=60,
+    )
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--n", "1", "--points", "11", "--out", str(out)]) == 0
+    assert (tmp_path / "coherent_information_n1.csv").read_bytes() == out.read_bytes()
 
 
 def test_every_trace_target_resolves(monkeypatch):

@@ -304,7 +304,7 @@ def test_fidelity_and_trace_distance_extremes():
     zero = basis_state(layout)
     one = basis_state(layout, index=1)
     rho_zero = partial_trace(kron_states([zero.amplitudes, [1, 0]], RegisterLayout.generic(2)), [0])
-    assert fidelity_pure(zero, zero) == pytest.approx(1.0)
+    assert fidelity_pure(rho_zero, zero) == pytest.approx(1.0)
     assert fidelity_pure(rho_zero, one) == pytest.approx(0.0, abs=1e-12)
     rho_one = DensityOperator(np.diag([0.0, 1.0]), layout)
     assert trace_distance(rho_zero, rho_one) == pytest.approx(1.0)
