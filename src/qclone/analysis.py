@@ -25,6 +25,7 @@ from .registers import (
     ROLE_REFERENCE,
     QcloneError,
     RegisterLayout,
+    check_register_size,
     noise_role,
     signal_role,
 )
@@ -151,6 +152,7 @@ def sweep_coherent_information(t_grid, n: int) -> list[SweepRow]:
     ts = sorted(float(t) for t in np.asarray(t_grid).ravel())
     if not ts:
         raise AnalysisError("empty time grid")
+    check_register_size(n + 2, matrix=True)  # the joint block, before anything is encoded
     return [coherent_information_simulated(n, t) for t in ts]
 
 

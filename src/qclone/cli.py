@@ -47,12 +47,11 @@ from .protocol import (
     Variant,
     decoding_unitary,
     decrypt,
-    decrypt_clone,
+    decrypt_clone_from_input,
     decrypt_from_A,
     decrypt_with_substitution,
     encode,
     encoding_unitary,
-    execute_iterated_cloning,
     named_state,
     plan_iterated_cloning,
     prepare_initial,
@@ -368,27 +367,22 @@ def cmd_audit(args) -> int:
 def cmd_iterate(args) -> int:
     psi, psi_desc = parse_psi(args.psi, args.seed)
     plan = plan_iterated_cloning(args.k)
-    state = execute_iterated_cloning(plan, psi)
-
     clones = []
     min_fidelity = 1.0
     for q in plan.clones:
-        out = decrypt_clone(plan, state, q, reference=psi)
-        key = list(plan.key_qubits(q))
-        clones.append({"clone": q, "fidelity": out.fidelity, "key_qubits": key})
-        min_fidelity = min(min_fidelity, out.fidelity)
+        fidelity = decrypt_clone_from_input(plan, psi, q, reference=psi).fidelity
+        clones.append({"clone": q, "fidelity": fidelity, "key_qubits": list(plan.key_qubits(q))})
+        min_fidelity = min(min_fidelity, fidelity)
     # The key size furthest from 2k: one wrong key fails the check.
     key_size = max((len(c["key_qubits"]) for c in clones), key=lambda s: abs(s - 2 * args.k))
 
     # Hand the last decoding level a Bell pair that is not in the ancestry:
     # whatever comes out must carry no trace of the input.
-    probe_marginals = []
-    probe_clone = plan.clones[0]
-    for name in ("0", "1"):
-        probe_state = execute_iterated_cloning(plan, named_state(name))
-        out = decrypt_clone(plan, probe_state, probe_clone, key_override={plan.depth: None})
-        probe_marginals.append(out.recovered)
-    wrong_key_distance = trace_distance(*probe_marginals)
+    probes = [
+        decrypt_clone_from_input(plan, named_state(x), plan.clones[0], fresh_key_level=args.k)
+        for x in ("0", "1")
+    ]
+    wrong_key_distance = trace_distance(*(out.recovered for out in probes))
 
     checks = [
         check("clone-count", len(plan.clones), args.k),
@@ -448,10 +442,7 @@ def cmd_variants(args) -> int:
         checks.append(check(f"rotated-variant-n{n}", out.fidelity))
 
     plan = plan_iterated_cloning(1)
-    state = execute_iterated_cloning(plan, psi)
-    worst = min(
-        decrypt_clone(plan, state, q, reference=psi).fidelity for q in plan.clones
-    )
+    worst = min(decrypt_clone_from_input(plan, psi, q, psi).fidelity for q in plan.clones)
     checks.append(check("iterated-k1-all-clones", worst))
 
     report = {

@@ -78,6 +78,7 @@ class ProtocolConfig:
             raise ProtocolError(f"need n >= 1 signal/noise pairs, got {self.n}")
         if not math.isfinite(self.t):
             raise ProtocolError(f"interaction time {self.t} is not finite")
+        check_register_size(2 * self.n + 1)  # before anything is built for the layout
 
     def layout(self) -> RegisterLayout:
         return RegisterLayout.standard(self.n)
@@ -258,7 +259,7 @@ def encode(state: StateVector, config: ProtocolConfig) -> StateVector:
 class DecryptionOutcome:
     """What a decryption attempt produced: ``carrier`` indexes ``post_state``.
 
-    For :func:`decrypt_clone`, ``post_state`` is the decrypted key cone.
+    For the tree decryptions, ``post_state`` is the decrypted key cone.
     """
 
     recovered: DensityOperator
@@ -431,11 +432,11 @@ class IteratedCloningPlan:
 
 
 def plan_iterated_cloning(depth: int) -> IteratedCloningPlan:
-    """Lay out the tree, whose 2*3^depth - 1 qubits are checked against the
-    register cap before a step is planned."""
+    """Lay out the tree.  Its widest simulated state, a clone's ancestry register
+    plus a fresh pair (4*depth + 3 qubits), is checked against the cap first."""
     if depth < 1:
         raise ProtocolError(f"need depth >= 1, got {depth}")
-    check_register_size(2 * 3**depth - 1)
+    check_register_size(4 * depth + 3)
     steps: list[CloningStep] = []
     current = [0]
     next_free = 1
@@ -471,29 +472,31 @@ def _tree_operators() -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return u_enc, undo
 
 
-def execute_iterated_cloning(plan: IteratedCloningPlan, psi: StateVector) -> StateVector:
-    """Grow the register from psi: each plan step appends its two fresh Bell
-    pairs at the next free positions, then encodes.  No encoder touches a pair
-    appended after it, so only the last step sweeps all ``plan.num_qubits``
-    qubits.
-    """
+def _grow(psi: StateVector, steps) -> tuple[StateVector, dict[int, int]]:
+    """Grow a register from psi, step by step; also map plan positions to its own."""
     if psi.num_qubits != 1:
         raise ProtocolError("the input must be a single-qubit state")
     state = StateVector(psi.amplitudes, RegisterLayout.generic(1))
     u, _ = _tree_operators()
-    for step in plan.steps:
-        for _ in step.signals:  # one fresh pair per signal
-            state = append_fresh_pair(state)[0]
-        state = apply_unitary(state, u, [step.data, *step.signals])
-    return state
+    local = {0: 0}
+    for step in steps:
+        for signal, noise in zip(step.signals, step.noises):
+            state, (local[signal], local[noise]) = append_fresh_pair(state)
+        state = apply_unitary(state, u, [local[q] for q in (step.data, *step.signals)])
+    return state, local
 
 
-def append_fresh_pair(state: State) -> tuple[State, tuple[int, int]]:
+def execute_iterated_cloning(plan: IteratedCloningPlan, psi: StateVector) -> StateVector:
+    """The whole tree register grown from psi; only its last encoder sweeps all of it."""
+    check_register_size(plan.num_qubits)
+    return _grow(psi, plan.steps)[0]
+
+
+def append_fresh_pair(state: StateVector) -> tuple[StateVector, tuple[int, int]]:
     """Adjoin one Bell pair uncorrelated with everything else.
 
-    Takes a statevector or a density operator (rho (x) |phi><phi|).  The
-    state's qubits keep their positions and role names; the pair takes the
-    next two positions under the first two free names ``q<i>``, i >= n.
+    The state's qubits keep their positions and role names; the pair takes
+    the next two positions under the first two free names ``q<i>``, i >= n.
     Returns the enlarged state and the new pair's positions — key material
     that is deliberately wrong for every clone.
     """
@@ -501,10 +504,7 @@ def append_fresh_pair(state: State) -> tuple[State, tuple[int, int]]:
     roles = dict(state.layout.roles)
     free = (f"q{i}" for i in itertools.count(n) if f"q{i}" not in roles)
     layout = RegisterLayout.from_map(roles | {next(free): n, next(free): n + 1})
-    if isinstance(state, StateVector):
-        return kron_states([state.amplitudes, bell_pair_vector()], layout), (n, n + 1)
-    check_register_size(n + 2, matrix=True)
-    return DensityOperator(np.kron(bell_projector(0), state.matrix), layout), (n, n + 1)
+    return kron_states([state.amplitudes, bell_pair_vector()], layout), (n, n + 1)
 
 
 def decrypt_clone(
@@ -512,40 +512,57 @@ def decrypt_clone(
     state: StateVector,
     clone: int,
     reference: StateVector | None = None,
-    key_override: dict[int, tuple[int, int] | None] | None = None,
+    key_override: dict[int, tuple[int, int]] | None = None,
 ) -> DecryptionOutcome:
     """Walk a clone's ancestry from the leaves up, consuming 2*depth key qubits.
 
     ``key_override`` substitutes the (noise, noise) pair used at a given level
     — deliberately handing the decoder the wrong key shows that nothing about
-    the input leaks without the right one; ``None`` stands for a fresh Bell
-    pair that the register never held.
+    the input leaks without the right one.
 
-    Every decoder acts inside the key cone (the clone and its in-register
-    keys, sorted), and a partial trace commutes with unitaries on what it
-    keeps, so the walk runs on the cone's density operator, with any fresh
-    pair appended to it.  ``post_state`` is the decrypted cone, ``carrier``
-    the clone's index in it and ``residual`` the consumed keys.
+    Every decoder acts inside the key cone (the clone and its keys, sorted), and a
+    partial trace commutes with unitaries on what it keeps, so the walk runs on the
+    cone's density operator.  ``post_state`` is the decrypted cone, ``carrier`` the
+    clone's index in it and ``residual`` the consumed keys.  This full-register walk
+    is the oracle for :func:`decrypt_clone_from_input`.
     """
     key_override = key_override or {}
     unknown = sorted(set(key_override) - set(range(1, plan.depth + 1)))
     if unknown:
         raise ProtocolError(f"key_override levels {unknown} outside 1..{plan.depth}")
     allowed = set(range(state.num_qubits)) - {clone}
-    for level, given in key_override.items():
-        pair = given if isinstance(given, (tuple, list)) else ()
-        if given is not None and not len(pair) == len(allowed & set(pair)) == 2:
-            raise ProtocolError(f"key_override level {level}: {given!r} is neither None nor"
-                                f" two distinct register qubits other than the clone {clone}")
+    for level, pair in key_override.items():
+        if not isinstance(pair, (tuple, list)) or not len(pair) == len(allowed & set(pair)) == 2:
+            raise ProtocolError(f"key_override level {level}: {pair!r} is not two distinct"
+                                f" register qubits other than the clone {clone}")
     _, undo = _tree_operators()
     chain = plan.ancestry(clone)
     keys = [key_override.get(step.level, step.noises) for step, _ in chain]
-    cone = sorted({clone}.union(*filter(None, keys)))
+    cone = sorted({clone}.union(*keys))
     cone_state = partial_trace(state, cone)
     for (_, role), pair in zip(chain, keys):
-        if pair is None:
-            cone_state, local = append_fresh_pair(cone_state)
-        else:
-            local = [cone.index(q) for q in pair]
-        cone_state = apply_unitary(cone_state, undo[role], [cone.index(clone), *local])
+        cone_state = apply_unitary(cone_state, undo[role], [cone.index(q) for q in (clone, *pair)])
     return _finish_outcome(cone_state, cone.index(clone), reference)
+
+
+def decrypt_clone_from_input(
+    plan: IteratedCloningPlan, psi: StateVector, clone: int,
+    reference: StateVector | None = None, fresh_key_level: int | None = None,
+) -> DecryptionOutcome:
+    """:func:`decrypt_clone` on 1 + 4*depth qubits grown through the clone's ancestry
+    only, as encoders off it act only on what the key cone traces out.  The walk
+    back up takes a fresh pair that the tree never held at ``fresh_key_level``;
+    the result is reduced once to the key cone, in plan order."""
+    if fresh_key_level is not None and not 1 <= fresh_key_level <= plan.depth:
+        raise ProtocolError(f"fresh_key_level {fresh_key_level} outside 1..{plan.depth}")
+    _, undo = _tree_operators()
+    chain = plan.ancestry(clone)
+    state, local = _grow(psi, [step for step, _ in reversed(chain)])
+    cone = [local[clone]]
+    for step, role in chain:
+        pair = [local[q] for q in step.noises]
+        if step.level == fresh_key_level:
+            state, pair = append_fresh_pair(state)
+        state = apply_unitary(state, undo[role], [local[clone], *pair])
+        cone.extend(pair)
+    return _finish_outcome(partial_trace(state, cone), sorted(cone).index(local[clone]), reference)

@@ -30,7 +30,13 @@ from qclone.protocol import (
     encode,
     prepare_initial,
 )
-from qclone.registers import ROLE_DATA, ROLE_REFERENCE, noise_role, signal_role
+from qclone.registers import (
+    ROLE_DATA,
+    ROLE_REFERENCE,
+    RegisterOverflowError,
+    noise_role,
+    signal_role,
+)
 from qclone.states import partial_trace, trace_distance
 
 # Fixed spot value of the curve, computed once from the closed-form spectrum
@@ -93,6 +99,16 @@ def test_joint_entropy_equals_clone_count():
         rows = sweep_coherent_information([0.3, math.pi / 4], n)
         for row in rows:
             assert row.S_joint == pytest.approx(n, abs=1e-9)
+
+
+def test_sweep_checks_its_joint_block_before_encoding(monkeypatch):
+    """At n = 11 the 13-qubit joint density operator counts 26 against the
+    cap of 24, so nothing is encoded."""
+    encoded = []
+    monkeypatch.setattr(analysis, "encode", lambda *a: encoded.append(a))
+    with pytest.raises(RegisterOverflowError, match="a dense 13-qubit matrix"):
+        sweep_coherent_information(default_time_grid(3), 11)
+    assert encoded == []
 
 
 def test_marginal_entropy_identity():

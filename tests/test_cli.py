@@ -379,21 +379,26 @@ def _run_under_address_space_limit(*args) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("iterate", "--k", "3"),
-        ("demo", "--n", "12", "--psi=+"),
-        ("iterate", "--k", "15"),
-        ("iterate", "--k", "1000000"),
-    ],
-)
+# Each argv with the width it is refused at: a tree's widest ancestry
+# register (4k + 3), or a protocol register (2n + 1).
+OVERSIZED_ARGVS = {
+    ("iterate", "--k", "6"): 27,
+    ("demo", "--n", "12", "--psi=+"): 25,
+    ("iterate", "--k", "15"): 63,
+    ("iterate", "--k", "1000000"): 4000003,
+    ("demo", "--n", "10000000", "--psi=+"): 20000001,
+    ("audit", "--n", "5000000"): 10000001,
+    ("compile", "--n", "3000000"): 6000001,
+}
+
+
+@pytest.mark.parametrize("argv", list(OVERSIZED_ARGVS))
 def test_oversized_register_exits_before_allocating(argv):
-    """A 53-qubit tree, a 25-qubit demo register, and trees of 28,697,813 and
-    about 10^477122 qubits are refused up front, not after an allocation."""
+    """Every register the run would need is checked against the cap up front,
+    before anything that it indexes is built."""
     proc = _run_under_address_space_limit("-m", "qclone.cli", *argv)
     assert proc.returncode == EXIT_INPUT_ERROR, proc.stderr
-    assert "exceeds the cap" in proc.stderr
+    assert f"register of {OVERSIZED_ARGVS[argv]} qubits exceeds the cap" in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert len(proc.stderr) < 200
     assert "Traceback" not in proc.stderr
@@ -408,13 +413,8 @@ def test_oversized_register_exits_before_allocating(argv):
             "out = decrypt(encode(prepare_initial(config, named_state('0')), config), config)",
             "out.residual",
         ),
-        # 11 + 2 qubits: a 1 GiB Kronecker product
-        (
-            "rho = DensityOperator(np.eye(2**11) / 2**11, RegisterLayout.generic(11))",
-            "append_fresh_pair(rho)",
-        ),
     ],
-    ids=["residual-n8", "append-fresh-pair-to-11-qubits"],
+    ids=["residual-n8"],
 )
 def test_oversized_density_operator_is_refused_before_allocating(build, refused):
     """A dense w-qubit matrix counts 2w against the default cap of 24."""

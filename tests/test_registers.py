@@ -6,7 +6,7 @@ import pytest
 from qclone import states
 from qclone.circuits import CircuitError, GateCircuit, circuit_to_unitary, gate_h
 from qclone.paulis import PauliString
-from qclone.protocol import AlphaCoefficients, append_fresh_pair, decoding_unitary
+from qclone.protocol import AlphaCoefficients, decoding_unitary
 from qclone.registers import (
     DEFAULT_MAX_QUBITS,
     ROLE_REFERENCE,
@@ -84,10 +84,6 @@ def test_register_cap_is_enforced_and_adjustable():
         set_max_register_qubits(DEFAULT_MAX_QUBITS)
 
 
-def _mixed(w: int) -> DensityOperator:
-    return DensityOperator(np.eye(2**w) / 2**w, RegisterLayout.generic(w))
-
-
 # Each builder of a dense 2^w-square matrix, as a call to make at width w; the
 # allocation it must not reach when refused; and the error it refuses with.
 DENSE_BUILDERS = {
@@ -99,11 +95,6 @@ DENSE_BUILDERS = {
     "partial_trace": (
         lambda w: partial(partial_trace, basis_state(RegisterLayout.generic(w)), range(w)),
         (states, "_split"),
-        RegisterOverflowError,
-    ),
-    "append_fresh_pair": (
-        lambda w: partial(append_fresh_pair, _mixed(w - 2)),
-        (np, "kron"),
         RegisterOverflowError,
     ),
     "PauliString.to_matrix": (

@@ -1,9 +1,11 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+import qclone.cli
 import qclone.protocol
 from qclone.protocol import (
     AlphaCoefficients,
@@ -15,6 +17,7 @@ from qclone.protocol import (
     bell_pair_vector,
     decrypt,
     decrypt_clone,
+    decrypt_clone_from_input,
     decrypt_from_A,
     decrypt_with_substitution,
     decoding_unitary,
@@ -310,54 +313,40 @@ def test_grown_register_matches_kron_then_encode(depth, name, rng):
     assert np.abs(grown.amplitudes - oracle.amplitudes).max() < 1e-15
 
 
+def assert_same_outcome(got, expect, label):
+    for a, b in ((got.recovered, expect.recovered), (got.post_state, expect.post_state)):
+        assert np.abs(a.matrix - b.matrix).max() < 1e-14, label
+    assert got.carrier == expect.carrier, label
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("name", ["0", "1", "+", "-", "+i", "-i", None])
+def test_ancestry_register_matches_the_full_register_oracle(depth, name, rng):
+    psi = haar_random_qubit(rng) if name is None else named_state(name)
+    plan = plan_iterated_cloning(depth)
+    state = execute_iterated_cloning(plan, psi)
+    for clone in plan.clones:
+        got = decrypt_clone_from_input(plan, psi, clone, psi)
+        assert_same_outcome(got, decrypt_clone(plan, state, clone, psi), clone)
+
+
 @pytest.mark.parametrize("depth", [1, 2])
 def test_fresh_pair_on_the_cone_matches_the_appended_register(depth, rng):
     psi = haar_random_qubit(rng)
     plan = plan_iterated_cloning(depth)
-    state = execute_iterated_cloning(plan, psi)
-    enlarged, fresh = append_fresh_pair(state)
+    enlarged, fresh = append_fresh_pair(execute_iterated_cloning(plan, psi))
     for clone in plan.clones:
         for level in range(1, depth + 1):
-            got = decrypt_clone(plan, state, clone, psi, key_override={level: None})
+            got = decrypt_clone_from_input(plan, psi, clone, psi, fresh_key_level=level)
             expect = decrypt_clone(plan, enlarged, clone, psi, key_override={level: fresh})
-            for a, b in ((got.recovered, expect.recovered), (got.post_state, expect.post_state)):
-                assert np.abs(a.matrix - b.matrix).max() < 1e-14, (clone, level)
-            assert got.carrier == expect.carrier
+            assert_same_outcome(got, expect, (clone, level))
 
 
-def test_fresh_pairs_at_every_level_match_the_appended_register(rng):
+@pytest.mark.parametrize("level", [0, 3, -1])
+def test_fresh_key_level_outside_the_tree_is_rejected(level):
     plan = plan_iterated_cloning(2)
-    state = execute_iterated_cloning(plan, haar_random_qubit(rng))
-    once, first = append_fresh_pair(state)
-    twice, second = append_fresh_pair(once)
-    clone = plan.clones[4]
-    got = decrypt_clone(plan, state, clone, key_override={1: None, 2: None})
-    expect = decrypt_clone(plan, twice, clone, key_override={2: first, 1: second})
-    assert got.post_state.num_qubits == expect.post_state.num_qubits == 5
-    assert np.abs(got.post_state.matrix - expect.post_state.matrix).max() < 1e-14
-
-
-@pytest.mark.parametrize("keep", [(0, 1, 2), (0, 5, 6), (2,), (6, 0, 3)])
-def test_fresh_pair_on_a_density_operator_matches_the_reduced_register(keep, rng):
-    plan = plan_iterated_cloning(2)
-    state = execute_iterated_cloning(plan, haar_random_qubit(rng))
-    enlarged, (s, n) = append_fresh_pair(state)
-    expect = partial_trace(enlarged, [*keep, s, n])
-    got, pair = append_fresh_pair(partial_trace(state, keep))
-    assert pair == (len(keep), len(keep) + 1)
-    assert np.abs(got.matrix - expect.matrix).max() < 1e-15
-    kept = partial_trace(state, keep).layout
-    assert [got.layout.role_at(i) for i in range(len(keep))] == [
-        kept.role_at(i) for i in range(len(keep))
-    ]
-    assert len({role for role, _ in got.layout.roles}) == len(keep) + 2
-
-
-def test_fresh_pair_on_a_full_density_operator_keeps_the_generic_layout(rng):
-    plan = plan_iterated_cloning(1)
-    state = execute_iterated_cloning(plan, haar_random_qubit(rng))
-    got, _ = append_fresh_pair(partial_trace(state, range(plan.num_qubits)))
-    assert got.layout == append_fresh_pair(state)[0].layout
+    with pytest.raises(ProtocolError, match="outside 1..2"):
+        decrypt_clone_from_input(plan, named_state("0"), plan.clones[0], fresh_key_level=level)
 
 
 @pytest.mark.parametrize(
@@ -368,8 +357,9 @@ def test_fresh_pair_on_a_full_density_operator_keeps_the_generic_layout(rng):
         lambda clone: {2: (clone, 5)},
         lambda clone: {1: (5, 17)},
         lambda clone: {2: 5},
+        lambda clone: {2: None},
     ],
-    ids=["one-qubit", "repeated-qubit", "the-clone", "outside-the-register", "not-a-pair"],
+    ids=["one-qubit", "repeated-qubit", "the-clone", "outside-the-register", "not-a-pair", "none"],
 )
 def test_key_override_values_are_validated(override):
     plan = plan_iterated_cloning(2)
@@ -381,7 +371,10 @@ def test_key_override_values_are_validated(override):
 
 
 def test_iterate_never_holds_a_register_wider_than_the_plan(monkeypatch, capsys):
-    widths = []
+    """The widest state is the probe's ancestry register plus its fresh pair,
+    4k + 3 qubits, which is what plan_iterated_cloning checks against the cap;
+    the full tree register is never built."""
+    widths, full_trees = [], []
 
     def spy(width, fn):
         def wrapped(*args):
@@ -396,9 +389,22 @@ def test_iterate_never_holds_a_register_wider_than_the_plan(monkeypatch, capsys)
     monkeypatch.setattr(
         qclone.protocol, "partial_trace", spy(lambda s, keep: s.num_qubits, partial_trace)
     )
+    monkeypatch.setattr(
+        qclone.protocol, "execute_iterated_cloning", lambda *a: full_trees.append(a)
+    )
     assert main(["iterate", "--k", "2", "--psi", "+"]) == 0
     capsys.readouterr()
-    assert widths and max(widths) == plan_iterated_cloning(2).num_qubits == 17
+    assert widths and max(widths) == 4 * 2 + 3 == 11
+    assert full_trees == [] and not hasattr(qclone.cli, "execute_iterated_cloning")
+
+
+def test_iterate_decrypts_a_depth_three_tree(capsys):
+    assert main(["iterate", "--k", "3", "--psi=+"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True
+    assert report["total_qubits"] == 53 == plan_iterated_cloning(3).num_qubits
+    assert len(report["clones"]) == 27
+    assert {len(c["key_qubits"]) for c in report["clones"]} == {6}
 
 
 def test_tree_build_checks_the_cap_before_the_first_kron(monkeypatch):
