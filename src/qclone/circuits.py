@@ -19,12 +19,14 @@ from .registers import QcloneError, RegisterOverflowError, check_register_size
 from .states import StateVector, _contract, apply_unitary, check_unitary
 
 # Most wires one fused block of consecutive gates may touch.  A pass over the
-# 2^n batch costs about the same for any small block, because the time goes
-# into moving axes, not arithmetic; 5 was the fastest width for the n = 7
-# compile check (14 passes instead of 164).
+# 2^n batch moves its axes twice and does 2^k multiply-adds per entry, so
+# wider blocks mean fewer passes but more arithmetic in each.  For the n = 7
+# compile check, widths 4, 5 and 6 make 21, 14 and 12 passes and took 48, 42
+# and 43 ms a report (one BLAS thread, interleaved runs); 5 was the fastest.
 _FUSE_QUBITS = 5
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
+_INV_SQRT2 = 1 / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 _P1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
@@ -139,6 +141,8 @@ class GateCircuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
+        if self.num_qubits < 0:
+            raise CircuitError(f"circuit width {self.num_qubits} is negative")
         for g in self.gates:
             if max(g.targets) >= self.num_qubits:
                 raise CircuitError(
@@ -160,6 +164,8 @@ def _fused_blocks(circuit: GateCircuit):
 
     Gates are only grouped, never reordered, so applying the blocks in turn
     applies the circuit.  Bit m of a product's index belongs to ``wires[m]``.
+    Products are built by applying the gates in place to the rows of the 2^k
+    identity, so ``Gate.unitary`` stays an independent oracle for the tests.
     """
     runs: list[tuple[list[int], list[Gate]]] = []
     for g in circuit.gates:
@@ -173,13 +179,38 @@ def _fused_blocks(circuit: GateCircuit):
         runs.append((list(g.targets), [g]))
     for wires, gates in runs:
         k = len(wires)
-        dim = 2**k
         local = {w: m for m, w in enumerate(wires)}
-        u = np.eye(dim, dtype=np.complex128)
+        u = np.eye(2**k, dtype=np.complex128)
+        rows = u.reshape([2] * k + [-1])  # a view: bit m of the row index is axis k-1-m
         for g in gates:
-            targets = tuple(local[w] for w in g.targets)
-            u = _contract(u.reshape([2] * k + [dim]), g.unitary(), targets, k).reshape(dim, dim)
+            axes = [k - 1 - local[w] for w in g.targets]
+            index = [slice(None)] * k
+            if g.is_two_qubit:
+                index[axes[0]] = 1  # the gate acts only where the control is set
+            index[axes[-1]] = 0
+            lo = rows[tuple(index)]
+            index[axes[-1]] = 1
+            _apply_to_halves(g, lo, rows[tuple(index)])
         yield tuple(wires), u
+
+
+def _apply_to_halves(g: Gate, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Apply the gate's 2x2 action on its target, in place, to the rows where
+    the target bit is 0 (``lo``) and 1 (``hi``)."""
+    kind = g.kind
+    if kind in (GateKind.X, GateKind.CNOT):
+        lo[...], hi[...] = hi.copy(), lo.copy()
+    elif kind is GateKind.H:
+        lo[...], hi[...] = (lo + hi) * _INV_SQRT2, (lo - hi) * _INV_SQRT2
+    elif kind is GateKind.RZ:
+        half = g.param / 2.0
+        lo *= cmath.exp(-1j * half)
+        hi *= cmath.exp(1j * half)
+    elif kind is GateKind.PHASE:
+        hi *= cmath.exp(1j * g.param)
+    else:
+        (a, b), (c, d) = g.matrix
+        lo[...], hi[...] = a * lo + b * hi, c * lo + d * hi
 
 
 def apply_circuit(state: StateVector, circuit: GateCircuit, wire_map=None) -> StateVector:
@@ -281,34 +312,40 @@ def _export_text(circuit: GateCircuit) -> str:
 
 
 def parse_circuit_text(text: str) -> GateCircuit:
-    """Inverse of the TEXT export."""
+    """Inverse of the TEXT export.  A malformed line raises CircuitError naming it."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("qubits="):
         raise CircuitError("missing qubits= header")
-    num_qubits = int(lines[0].split("=", 1)[1])
-    gates: list[Gate] = []
-    for ln in lines[1:]:
-        head, _, tail = ln.partition(";")
-        name, _, wire_text = head.partition(" ")
-        try:
-            kind = GateKind(name)
-        except ValueError:
-            raise CircuitError(f"unknown gate kind {name!r}") from None
-        wires = tuple(int(w) for w in wire_text.split(","))
-        param = None
-        matrix = None
-        if kind in _PARAM_KINDS:
-            key, _, val = tail.partition("=")
-            if key not in ("theta", "phi"):
-                raise CircuitError(f"bad parameter field {tail!r}")
-            param = float(val)
-        elif kind is GateKind.CONTROLLED_U:
-            key, _, val = tail.partition("=")
-            if key != "u":
-                raise CircuitError(f"bad matrix field {tail!r}")
-            matrix = _parse_matrix(val, 2)
-        gates.append(Gate(kind, wires, param=param, matrix=matrix))
-    return GateCircuit(tuple(gates), num_qubits)
+    num_qubits = _parse_line(lines[0], lambda ln: int(ln.split("=", 1)[1]))
+    gates = tuple(_parse_line(ln, _parse_gate) for ln in lines[1:])
+    return GateCircuit(gates, num_qubits)
+
+
+def _parse_line(line: str, parse):
+    try:
+        return parse(line)
+    except ValueError as exc:  # CircuitError included: every refusal names its line
+        raise CircuitError(f"line {line!r}: {exc}") from None
+
+
+def _parse_gate(line: str) -> Gate:
+    head, _, tail = line.partition(";")
+    name, _, wire_text = head.partition(" ")
+    kind = GateKind(name)
+    wires = tuple(int(w) for w in wire_text.split(","))
+    param = None
+    matrix = None
+    if kind in _PARAM_KINDS:
+        key, _, val = tail.partition("=")
+        if key not in ("theta", "phi"):
+            raise CircuitError(f"bad parameter field {tail!r}")
+        param = float(val)
+    elif kind is GateKind.CONTROLLED_U:
+        key, _, val = tail.partition("=")
+        if key != "u":
+            raise CircuitError(f"bad matrix field {tail!r}")
+        matrix = _parse_matrix(val, 2)
+    return Gate(kind, wires, param=param, matrix=matrix)
 
 
 # -- OPENQASM2 --------------------------------------------------------------

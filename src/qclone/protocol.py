@@ -160,10 +160,32 @@ def encoding_unitary(n: int, t: float, variant: Variant = Variant.STANDARD) -> n
     if n < 1:
         raise ProtocolError(f"need n >= 1, got {n}")
     qubits = range(n + 1)
-    return sum(
-        c * PauliString.uniform(mu, qubits).to_matrix(n + 1)
+    strings = [
+        PauliString.uniform(mu, qubits, c)
         for mu, c in enumerate(expansion_coefficients(n, t, variant))
-    )
+    ]
+    return _pauli_sum(strings, n + 1)
+
+
+def _pauli_sum(strings, width: int) -> np.ndarray:
+    """Dense sum of Pauli strings on ``width`` qubits, one scatter per X mask.
+
+    Strings that share an X mask fill the same entries, so their column values
+    are added first, in string order: each entry is the per-string sum.
+    """
+    check_register_size(width, matrix=True)
+    cols = np.arange(2**width)
+    odd = np.zeros_like(cols)  # parity of the number of set bits of each index
+    for q in range(width):
+        odd ^= cols >> q & 1
+    by_mask: dict[int, np.ndarray] = {}
+    for s in strings:
+        term = s.phase * (1 - 2 * odd[cols & s.z_mask])
+        by_mask[s.x_mask] = by_mask.get(s.x_mask, 0) + term
+    total = np.zeros((cols.size, cols.size), dtype=np.complex128)
+    for x_mask, values in by_mask.items():
+        total[cols ^ x_mask, cols] = values
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +244,7 @@ def decoding_unitary(n: int, alphas: AlphaCoefficients, target: int = 1) -> np.n
         raise ProtocolError(f"target {target} outside 1..{n}")
     others = [s for s in range(1, n + 1) if s != target]
     check_register_size(n + 1, matrix=True)
-    total = np.zeros((2 ** (n + 1),) * 2, dtype=np.complex128)
+    strings = []
     for mu in range(4):
         for nu in range(4):
             sign = -1 if mu and nu and mu != nu else 1
@@ -231,9 +253,8 @@ def decoding_unitary(n: int, alphas: AlphaCoefficients, target: int = 1) -> np.n
             if mu == 2:  # sigma_mu^T on every other slot
                 sign *= (-1) ** len(others)
             factors = {0: nu, target: nu} | dict.fromkeys(others, mu)
-            string = PauliString.from_factors(factors, alphas[mu] * sign / 4)
-            total += string.to_matrix(n + 1)
-    return total
+            strings.append(PauliString.from_factors(factors, alphas[mu] * sign / 4))
+    return _pauli_sum(strings, n + 1)
 
 
 # ---------------------------------------------------------------------------

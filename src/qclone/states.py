@@ -173,14 +173,15 @@ def _contract(tensor: np.ndarray, u: np.ndarray, targets: tuple[int, ...], n: in
     """Contract a k-qubit operator into the first n qubit axes of ``tensor``.
 
     ``tensor`` holds axes [qubit n-1, ..., qubit 0, *batch]; any trailing batch
-    axes ride along untouched.
+    axes ride along untouched.  The target axes are moved to the front, most
+    significant first, so that u acts on the rows of one matrix product.
     """
     k = len(targets)
-    ut = u.reshape([2] * (2 * k))
-    in_axes = list(range(k, 2 * k))
-    qubit_axes = [n - 1 - targets[k - 1 - j] for j in range(k)]
-    out = np.tensordot(ut, tensor, axes=(in_axes, qubit_axes))
-    return np.moveaxis(out, list(range(k)), qubit_axes)
+    lead = range(k)
+    qubit_axes = [n - 1 - targets[k - 1 - j] for j in lead]
+    moved = np.moveaxis(tensor, qubit_axes, lead)
+    out = u @ moved.reshape(2**k, -1)
+    return np.moveaxis(out.reshape(moved.shape), lead, qubit_axes)
 
 
 def apply_unitary(state: State, u, targets) -> State:

@@ -148,6 +148,45 @@ def test_circuit_to_unitary_matches_embedded_product(rng):
         assert np.allclose(circuit_to_unitary(circuit), dense, rtol=0, atol=1e-12)
 
 
+# Circuits for the slice-built block products: every gate kind, controlled
+# unitaries with a diagonal, an anti-diagonal and a general matrix, controls
+# above and below their targets, wires far apart, one wire, many blocks.
+BLOCK_CASES = {
+    "every-kind": lambda rng: GateCircuit(
+        (gate_h(0), gate_x(1), gate_rz(2, 0.7), gate_phase(0, -1.3), gate_cnot(0, 2),
+         gate_cu(1, 2, random_unitary(rng, 2))), 3),
+    "cu-diagonal": lambda rng: GateCircuit((gate_h(1), gate_cu(0, 1, np.diag([1j, -1.0]))), 2),
+    "cu-anti-diagonal": lambda rng: GateCircuit(
+        (gate_h(0), gate_cu(1, 0, np.array([[0, 1j], [1j, 0]]))), 2),
+    "cu-general": lambda rng: GateCircuit(
+        (gate_cu(3, 1, random_unitary(rng, 2)), gate_cu(0, 2, random_unitary(rng, 2))), 4),
+    "control-above-and-below": lambda rng: GateCircuit(
+        (gate_h(0), gate_h(3), gate_cnot(0, 3), gate_cnot(3, 0), gate_cnot(2, 1)), 4),
+    "non-adjacent-wires": lambda rng: GateCircuit(
+        (gate_cnot(7, 0), gate_h(4), gate_cu(0, 7, random_unitary(rng, 2)), gate_rz(4, 1.1),
+         gate_cnot(4, 7), gate_x(0)), 8),
+    "one-wire": lambda rng: GateCircuit(
+        (gate_h(0), gate_rz(0, 0.4), gate_x(0), gate_phase(0, 2.1)), 1),
+    "many-blocks": lambda rng: _random_circuit(rng, 8, 80),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_fused_block_products_match_embedded_gate_products(rng, case):
+    circuit = BLOCK_CASES[case](rng)
+    gates = list(circuit.gates)
+    for wires, product in _fused_blocks(circuit):
+        # A block ends where the next gate brings a wire it lacks.
+        k = len(wires)
+        local = {w: m for m, w in enumerate(wires)}
+        expect = np.eye(2**k, dtype=np.complex128)
+        while gates and set(gates[0].targets) <= set(wires):
+            g = gates.pop(0)
+            expect = embed_operator(g.unitary(), [local[w] for w in g.targets], k) @ expect
+        assert np.abs(product - expect).max() <= 1e-14
+    assert not gates
+
+
 def test_empty_circuit_is_the_identity(rng):
     empty = GateCircuit((), 3)
     assert np.array_equal(circuit_to_unitary(empty), np.eye(8))
@@ -305,6 +344,27 @@ def test_text_parser_rejects_garbage():
         parse_circuit_text("qubits=2\nRZ 0;angle=1.0\n")  # unknown parameter key
     with pytest.raises(CircuitError):
         parse_circuit_text("qubits=2\nCONTROLLED_U 0,1;u=1.0,0.0\n")  # short matrix
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "qubits=x\n",
+        "qubits=2\nH a\n",  # a wire that is not an integer
+        "qubits=2\nCONTROLLED_U 0,1;u=1,0,0,0,0,0,one,0\n",
+    ],
+)
+def test_text_parser_names_the_malformed_line(text):
+    bad = text.splitlines()[-1]
+    with pytest.raises(CircuitError, match=f"line {bad!r}"):
+        parse_circuit_text(text)
+
+
+def test_negative_width_is_refused():
+    with pytest.raises(CircuitError, match="negative"):
+        parse_circuit_text("qubits=-1\n")
+    with pytest.raises(CircuitError, match="negative"):
+        GateCircuit((), -1)
 
 
 def test_unknown_export_format():

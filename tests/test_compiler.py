@@ -236,6 +236,19 @@ def test_gate_count_report_values(capsys, tmp_path, n, enc, dec, budget):
     }
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("variant", ["standard", "rotated"])
+def test_compile_equivalence_residuals_stay_at_noise_level(capsys, tmp_path, n, variant):
+    # Every report stays byte-identical except noise-level residuals, and
+    # those only while they stay <= 1e-14.
+    argv = ["compile", "--n", str(n), "--what", "both", "--variant", variant]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_OK
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    residuals = [c["value"] for c in checks if c["name"].endswith("-circuit-equivalence")]
+    assert len(residuals) == 2
+    assert max(residuals) <= 1e-14
+
+
 def test_gate_count_report_rejects_small_n(capsys, tmp_path):
     code = cli.main(["compile", "--n", "1", "--what", "both", "--out", str(tmp_path)])
     assert code == cli.EXIT_INPUT_ERROR

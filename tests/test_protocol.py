@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import embed_operator
+from qclone import protocol
 from qclone.paulis import SIGMA
 from qclone.protocol import (
     AlphaCoefficients,
@@ -327,6 +328,37 @@ def test_decoder_matches_bell_projector_construction(n):
         for target in range(1, n + 1):
             expect = decoder_oracle(n, alphas, target)
             assert np.abs(decoding_unitary(n, alphas, target) - expect).max() < 1e-14
+
+
+def _per_string_sum(strings, width):
+    """The Pauli sum as one dense matrix per string, added in string order."""
+    total = np.zeros((2**width,) * 2, dtype=np.complex128)
+    for string in strings:
+        total += string.to_matrix(width)
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_operators_equal_their_per_string_matrix_sums(monkeypatch, n):
+    # The X-mask scatter adds, entry for entry, what the strings' own
+    # matrices add, so the operators are bitwise unchanged.
+    families = [
+        *both_alpha_families(n),
+        *(AlphaCoefficients.for_angle(n, 3 * PROTOCOL_T, v) for v in Variant),
+    ]
+    families += [AlphaCoefficients((a[0], a[1], -a[2], a[3])) for a in families]  # substitution
+
+    def build():
+        angles = (PROTOCOL_T, 3 * PROTOCOL_T, 0.3)
+        ops = [encoding_unitary(n, t, v) for t in angles for v in Variant]
+        for alphas in families:
+            ops += [decoding_unitary(n, alphas, target) for target in range(1, n + 1)]
+        return ops
+
+    scattered = build()
+    monkeypatch.setattr(protocol, "_pauli_sum", _per_string_sum)
+    for got, expect in zip(scattered, build(), strict=True):
+        assert np.array_equal(got, expect)
 
 
 @pytest.mark.parametrize("n,lost", [(2, {2}), (3, {2, 3}), (4, {3})])

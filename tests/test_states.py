@@ -10,6 +10,7 @@ from qclone.states import (
     DensityOperator,
     StateValidationError,
     StateVector,
+    _contract,
     apply_unitary,
     basis_state,
     dominant_eigenvector,
@@ -174,6 +175,30 @@ def test_apply_unitary_rejects_the_same_inputs_for_either_kind_of_state(rng):
                 apply_unitary(state, u, targets)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+
+def _tensordot_contract(tensor, u, targets, n):
+    """Reference: u's input axes contracted against the target axes by one tensordot."""
+    k = len(targets)
+    qubit_axes = [n - 1 - targets[k - 1 - j] for j in range(k)]
+    ut = u.reshape([2] * (2 * k))
+    out = np.tensordot(ut, tensor, axes=(list(range(k, 2 * k)), qubit_axes))
+    return np.moveaxis(out, list(range(k)), qubit_axes)
+
+
+@pytest.mark.parametrize(
+    "n,batch",
+    [(6, []), (4, [16]), (8, [256])],
+    ids=["statevector", "density-batch", "256-column-batch"],
+)
+def test_contract_is_bitwise_the_tensordot_contraction(rng, n, batch):
+    shape = [2] * n + batch
+    tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    orders = [(0,), (n - 1,), (2, 0), (0, 3), (3, 1, 2), (n - 1, 0, 2, 1), (1, 3, 0, 5, 2)]
+    for targets in [t for t in orders if max(t) < n]:
+        u = random_unitary(rng, 2 ** len(targets))
+        got = _contract(tensor, u, targets, n)
+        assert np.array_equal(got, _tensordot_contract(tensor, u, targets, n))
 
 
 def test_embed_operator_is_multiplicative(rng):
