@@ -38,8 +38,8 @@ from .states import (
     von_neumann_entropy,
 )
 from .protocol import (
+    BELL_PHI,
     ProtocolConfig,
-    bell_pair_vector,
     default_probe_states,
     encode,
     prepare_initial,
@@ -111,7 +111,7 @@ def _purified_register(n: int) -> StateVector:
     the standard layout with ``REF`` at position 0.
     """
     layout = RegisterLayout.standard(n, with_reference=True)
-    return kron_states([bell_pair_vector()] * (n + 1), layout)
+    return kron_states([BELL_PHI] * (n + 1), layout)
 
 
 def coherent_information_simulated(n: int, t: float) -> SweepRow:
@@ -181,9 +181,11 @@ def _input_dependence_bound(e0: StateVector, e1: StateVector, keep) -> float:
     sum_xy a_x a_y* F_x F_y^dagger.  Two inputs differ by p D + c C + c* C^dagger,
     |p|, |c| <= 1, with D = F_0 F_0^dagger - F_1 F_1^dagger and C = F_0 F_1^dagger,
     so half its trace norm is at most sqrt(2^len(keep)) (||D||_F / 2 + ||C||_F).
+    D is the Hermitian part of (F_0 + F_1)(F_0 - F_1)^dagger: two products, not three.
     """
     f0, f1 = _split(e0, keep), _split(e1, keep)
-    diff = f0 @ f0.conj().T - f1 @ f1.conj().T
+    mixed = (f0 + f1) @ (f0 - f1).conj().T
+    diff = (mixed + mixed.conj().T) / 2
     cross = f0 @ f1.conj().T
     frobenius = np.linalg.norm(diff) / 2 + np.linalg.norm(cross)
     return float(math.sqrt(f0.shape[0]) * frobenius)

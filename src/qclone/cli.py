@@ -47,7 +47,7 @@ from .protocol import (
     Variant,
     decoding_unitary,
     decrypt,
-    decrypt_clone_from_input,
+    decrypt_clones_from_input,
     decrypt_from_A,
     decrypt_with_substitution,
     encode,
@@ -369,20 +369,20 @@ def cmd_iterate(args) -> int:
     plan = plan_iterated_cloning(args.k)
     clones = []
     min_fidelity = 1.0
-    for q in plan.clones:
-        fidelity = decrypt_clone_from_input(plan, psi, q, reference=psi).fidelity
-        clones.append({"clone": q, "fidelity": fidelity, "key_qubits": list(plan.key_qubits(q))})
-        min_fidelity = min(min_fidelity, fidelity)
+    for q, out in zip(plan.clones, decrypt_clones_from_input(plan, psi, plan.clones, psi)):
+        key = list(plan.key_qubits(q))
+        clones.append({"clone": q, "fidelity": out.fidelity, "key_qubits": key})
+        min_fidelity = min(min_fidelity, out.fidelity)
     # The key size furthest from 2k: one wrong key fails the check.
     key_size = max((len(c["key_qubits"]) for c in clones), key=lambda s: abs(s - 2 * args.k))
 
     # Hand the last decoding level a Bell pair that is not in the ancestry:
     # whatever comes out must carry no trace of the input.
     probes = [
-        decrypt_clone_from_input(plan, named_state(x), plan.clones[0], fresh_key_level=args.k)
+        decrypt_clones_from_input(plan, named_state(x), plan.clones[:1], fresh_key_level=args.k)
         for x in ("0", "1")
     ]
-    wrong_key_distance = trace_distance(*(out.recovered for out in probes))
+    wrong_key_distance = trace_distance(*(out.recovered for (out,) in probes))
 
     checks = [
         check("clone-count", len(plan.clones), args.k),
@@ -442,7 +442,7 @@ def cmd_variants(args) -> int:
         checks.append(check(f"rotated-variant-n{n}", out.fidelity))
 
     plan = plan_iterated_cloning(1)
-    worst = min(decrypt_clone_from_input(plan, psi, q, psi).fidelity for q in plan.clones)
+    worst = min(out.fidelity for out in decrypt_clones_from_input(plan, psi, plan.clones, psi))
     checks.append(check("iterated-k1-all-clones", worst))
 
     report = {

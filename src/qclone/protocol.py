@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -89,11 +90,13 @@ class ProtocolConfig:
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
+BELL_PHI = np.array([1, 0, 0, 1], dtype=np.complex128) * _INV_SQRT2  # |phi>, read-only
+BELL_PHI.setflags(write=False)
+
 
 def bell_pair_vector(mu: int = 0) -> np.ndarray:
     """|phi_mu> = (sigma_mu (x) 1)|phi> on a (signal, noise) pair, signal on bit 0."""
-    phi = np.array([1, 0, 0, 1], dtype=np.complex128) * _INV_SQRT2
-    return np.kron(np.eye(2), SIGMA[mu]) @ phi
+    return np.kron(np.eye(2), SIGMA[mu]) @ BELL_PHI
 
 
 def bell_projector(mu: int) -> np.ndarray:
@@ -265,7 +268,7 @@ def prepare_initial(config: ProtocolConfig, psi: StateVector) -> StateVector:
     """The input state (x) n Bell pairs on the standard layout."""
     if psi.num_qubits != 1:
         raise ProtocolError("the input must be a single-qubit state")
-    return kron_states([psi.amplitudes] + [bell_pair_vector()] * config.n, config.layout())
+    return kron_states([psi.amplitudes] + [BELL_PHI] * config.n, config.layout())
 
 
 def encode(state: StateVector, config: ProtocolConfig) -> StateVector:
@@ -280,7 +283,7 @@ def encode(state: StateVector, config: ProtocolConfig) -> StateVector:
 class DecryptionOutcome:
     """What a decryption attempt produced: ``carrier`` indexes ``post_state``.
 
-    For the tree decryptions, ``post_state`` is the decrypted key cone.
+    For the tree decryptions, ``post_state`` is the decrypted key cone or ancestry register.
     """
 
     recovered: DensityOperator
@@ -493,24 +496,27 @@ def _tree_operators() -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return u_enc, undo
 
 
-def _grow(psi: StateVector, steps) -> tuple[StateVector, dict[int, int]]:
-    """Grow a register from psi, step by step; also map plan positions to its own."""
+def _seed(psi: StateVector) -> StateVector:
     if psi.num_qubits != 1:
         raise ProtocolError("the input must be a single-qubit state")
-    state = StateVector(psi.amplitudes, RegisterLayout.generic(1))
+    return StateVector(psi.amplitudes, RegisterLayout.generic(1))
+
+
+def _grow(state: StateVector, step: CloningStep, local: dict[int, int]) -> StateVector:
+    """Append the step's two Bell pairs, then encode; ``local`` gains their positions."""
     u, _ = _tree_operators()
-    local = {0: 0}
-    for step in steps:
-        for signal, noise in zip(step.signals, step.noises):
-            state, (local[signal], local[noise]) = append_fresh_pair(state)
-        state = apply_unitary(state, u, [local[q] for q in (step.data, *step.signals)])
-    return state, local
+    for signal, noise in zip(step.signals, step.noises):
+        state, (local[signal], local[noise]) = append_fresh_pair(state)
+    return apply_unitary(state, u, [local[q] for q in (step.data, *step.signals)])
 
 
 def execute_iterated_cloning(plan: IteratedCloningPlan, psi: StateVector) -> StateVector:
     """The whole tree register grown from psi; only its last encoder sweeps all of it."""
     check_register_size(plan.num_qubits)
-    return _grow(psi, plan.steps)[0]
+    state, local = _seed(psi), {0: 0}
+    for step in plan.steps:
+        state = _grow(state, step, local)
+    return state
 
 
 def append_fresh_pair(state: StateVector) -> tuple[StateVector, tuple[int, int]]:
@@ -525,7 +531,7 @@ def append_fresh_pair(state: StateVector) -> tuple[StateVector, tuple[int, int]]
     roles = dict(state.layout.roles)
     free = (f"q{i}" for i in itertools.count(n) if f"q{i}" not in roles)
     layout = RegisterLayout.from_map(roles | {next(free): n, next(free): n + 1})
-    return kron_states([state.amplitudes, bell_pair_vector()], layout), (n, n + 1)
+    return kron_states([state.amplitudes, BELL_PHI], layout), (n, n + 1)
 
 
 def decrypt_clone(
@@ -545,7 +551,7 @@ def decrypt_clone(
     partial trace commutes with unitaries on what it keeps, so the walk runs on the
     cone's density operator.  ``post_state`` is the decrypted cone, ``carrier`` the
     clone's index in it and ``residual`` the consumed keys.  This full-register walk
-    is the oracle for :func:`decrypt_clone_from_input`.
+    is the oracle for :func:`decrypt_clones_from_input`.
     """
     key_override = key_override or {}
     unknown = sorted(set(key_override) - set(range(1, plan.depth + 1)))
@@ -566,24 +572,36 @@ def decrypt_clone(
     return _finish_outcome(cone_state, cone.index(clone), reference)
 
 
-def decrypt_clone_from_input(
-    plan: IteratedCloningPlan, psi: StateVector, clone: int,
+def decrypt_clones_from_input(
+    plan: IteratedCloningPlan, psi: StateVector, clones,
     reference: StateVector | None = None, fresh_key_level: int | None = None,
-) -> DecryptionOutcome:
-    """:func:`decrypt_clone` on 1 + 4*depth qubits grown through the clone's ancestry
-    only, as encoders off it act only on what the key cone traces out.  The walk
-    back up takes a fresh pair that the tree never held at ``fresh_key_level``;
-    the result is reduced once to the key cone, in plan order."""
+) -> Iterator[DecryptionOutcome]:
+    """Yield :func:`decrypt_clone`'s outcome for each clone, in the order given.
+
+    Encoders off a clone's ancestry act only on qubits its key cone traces out,
+    so each clone is decrypted on the 1 + 4*depth qubits grown through its
+    ancestry alone.  A stack keeps one grown register per level, and each clone
+    regrows only the steps below the deepest one it shares with the previous
+    clone: in ``plan.clones``' depth-first order every step is grown once.  The
+    walk back up runs on a copy of the leaf register, with a fresh pair that the
+    tree never held at ``fresh_key_level``, and ends in the decrypted ancestry
+    register, ``post_state``.
+    """
     if fresh_key_level is not None and not 1 <= fresh_key_level <= plan.depth:
         raise ProtocolError(f"fresh_key_level {fresh_key_level} outside 1..{plan.depth}")
     _, undo = _tree_operators()
-    chain = plan.ancestry(clone)
-    state, local = _grow(psi, [step for step, _ in reversed(chain)])
-    cone = [local[clone]]
-    for step, role in chain:
-        pair = [local[q] for q in step.noises]
-        if step.level == fresh_key_level:
-            state, pair = append_fresh_pair(state)
-        state = apply_unitary(state, undo[role], [local[clone], *pair])
-        cone.extend(pair)
-    return _finish_outcome(partial_trace(state, cone), sorted(cone).index(local[clone]), reference)
+    registers, prev, local = [_seed(psi)], [], {0: 0}  # registers[i]: prev[:i] grown
+    for clone in clones:
+        chain = plan.ancestry(clone)
+        path = [step for step, _ in reversed(chain)]
+        shared = next((i for i, (a, b) in enumerate(zip(path, prev)) if a != b), len(prev))
+        del registers[shared + 1:]
+        for step in path[shared:]:
+            registers.append(_grow(registers[-1], step, local))
+        prev, state = path, registers[-1]
+        for step, role in chain:
+            pair = [local[q] for q in step.noises]
+            if step.level == fresh_key_level:
+                state, pair = append_fresh_pair(state)
+            state = apply_unitary(state, undo[role], [local[clone], *pair])
+        yield _finish_outcome(state, local[clone], reference)

@@ -143,7 +143,7 @@ def kron_states(groups, layout: RegisterLayout) -> StateVector:
         )
     vec = np.array([1.0], dtype=np.complex128)
     for g in groups:
-        vec = np.kron(g, vec)
+        vec = np.multiply.outer(g, vec).ravel()
     return StateVector(vec, layout)
 
 

@@ -83,10 +83,11 @@ def test_kron_states_checks_the_width_before_allocating(monkeypatch):
         set_max_register_qubits,
     )
 
-    def no_kron(*_):
-        raise AssertionError("np.kron called before the width check")
+    class NoProducts:
+        def outer(*_):
+            raise AssertionError("np.multiply.outer called before the width check")
 
-    monkeypatch.setattr(np, "kron", no_kron)
+    monkeypatch.setattr(np, "multiply", NoProducts())
     with pytest.raises(StateValidationError, match="do not match"):
         kron_states([[1, 0], bell_vector()], RegisterLayout.generic(2))
     set_max_register_qubits(2)

@@ -17,7 +17,7 @@ from qclone.protocol import (
     bell_pair_vector,
     decrypt,
     decrypt_clone,
-    decrypt_clone_from_input,
+    decrypt_clones_from_input,
     decrypt_from_A,
     decrypt_with_substitution,
     decoding_unitary,
@@ -313,10 +313,29 @@ def test_grown_register_matches_kron_then_encode(depth, name, rng):
     assert np.abs(grown.amplitudes - oracle.amplitudes).max() < 1e-15
 
 
-def assert_same_outcome(got, expect, label):
-    for a, b in ((got.recovered, expect.recovered), (got.post_state, expect.post_state)):
-        assert np.abs(a.matrix - b.matrix).max() < 1e-14, label
-    assert got.carrier == expect.carrier, label
+def ancestry_cone(plan, clone, fresh_key_level=None):
+    """The clone's key cone in plan order, as positions in its ancestry register.
+
+    That register grows root first: each step's four new qubits take the next
+    four positions in plan order, and a fresh pair the two after the leaf step.
+    """
+    chain = plan.ancestry(clone)
+    local = {0: 0}
+    for i, (step, _) in enumerate(reversed(chain)):
+        local.update(zip(sorted((*step.signals, *step.noises)), range(4 * i + 1, 4 * i + 5)))
+    fresh = (plan.num_qubits, plan.num_qubits + 1)
+    local.update(zip(fresh, (4 * plan.depth + 1, 4 * plan.depth + 2)))
+    keys = [fresh if step.level == fresh_key_level else step.noises for step, _ in chain]
+    return [local[q] for q in sorted({clone}.union(*keys))]
+
+
+def assert_same_outcome(got, expect, cone, label):
+    """``got`` decrypts an ancestry register, ``expect`` the key cone ``cone`` of it."""
+    assert np.abs(got.recovered.matrix - expect.recovered.matrix).max() < 1e-14, label
+    assert cone == sorted(cone), label
+    reduced = partial_trace(got.post_state, cone)
+    assert np.abs(reduced.matrix - expect.post_state.matrix).max() < 1e-14, label
+    assert cone.index(got.carrier) == expect.carrier, label
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -325,9 +344,10 @@ def test_ancestry_register_matches_the_full_register_oracle(depth, name, rng):
     psi = haar_random_qubit(rng) if name is None else named_state(name)
     plan = plan_iterated_cloning(depth)
     state = execute_iterated_cloning(plan, psi)
-    for clone in plan.clones:
-        got = decrypt_clone_from_input(plan, psi, clone, psi)
-        assert_same_outcome(got, decrypt_clone(plan, state, clone, psi), clone)
+    outcomes = decrypt_clones_from_input(plan, psi, plan.clones, psi)
+    for clone, got in zip(plan.clones, outcomes, strict=True):
+        expect = decrypt_clone(plan, state, clone, psi)
+        assert_same_outcome(got, expect, ancestry_cone(plan, clone), clone)
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -335,18 +355,40 @@ def test_fresh_pair_on_the_cone_matches_the_appended_register(depth, rng):
     psi = haar_random_qubit(rng)
     plan = plan_iterated_cloning(depth)
     enlarged, fresh = append_fresh_pair(execute_iterated_cloning(plan, psi))
-    for clone in plan.clones:
-        for level in range(1, depth + 1):
-            got = decrypt_clone_from_input(plan, psi, clone, psi, fresh_key_level=level)
+    for level in range(1, depth + 1):
+        outcomes = decrypt_clones_from_input(plan, psi, plan.clones, psi, fresh_key_level=level)
+        for clone, got in zip(plan.clones, outcomes, strict=True):
             expect = decrypt_clone(plan, enlarged, clone, psi, key_override={level: fresh})
-            assert_same_outcome(got, expect, (clone, level))
+            assert_same_outcome(got, expect, ancestry_cone(plan, clone, level), (clone, level))
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("name", ["0", "+i", None])
+def test_shared_growth_is_bitwise_one_clone_at_a_time(depth, name, rng):
+    """Any clone order regrows exactly the registers that one-clone calls grow."""
+    psi = haar_random_qubit(rng) if name is None else named_state(name)
+    plan = plan_iterated_cloning(depth)
+    shuffled = [int(q) for q in rng.permutation(plan.clones)]
+    for level in (None, *range(1, depth + 1)):
+        alone = {
+            clone: next(decrypt_clones_from_input(plan, psi, [clone], psi, fresh_key_level=level))
+            for clone in plan.clones
+        }
+        for order in (plan.clones[::-1], shuffled):
+            outcomes = decrypt_clones_from_input(plan, psi, order, psi, fresh_key_level=level)
+            for clone, got in zip(order, outcomes, strict=True):
+                expect = alone[clone]
+                assert np.array_equal(got.recovered.matrix, expect.recovered.matrix)
+                assert np.array_equal(got.post_state.amplitudes, expect.post_state.amplitudes)
+                assert got.carrier == expect.carrier and got.fidelity == expect.fidelity
 
 
 @pytest.mark.parametrize("level", [0, 3, -1])
 def test_fresh_key_level_outside_the_tree_is_rejected(level):
     plan = plan_iterated_cloning(2)
+    clones = decrypt_clones_from_input(plan, named_state("0"), plan.clones, fresh_key_level=level)
     with pytest.raises(ProtocolError, match="outside 1..2"):
-        decrypt_clone_from_input(plan, named_state("0"), plan.clones[0], fresh_key_level=level)
+        next(clones)
 
 
 @pytest.mark.parametrize(
@@ -396,6 +438,29 @@ def test_iterate_never_holds_a_register_wider_than_the_plan(monkeypatch, capsys)
     capsys.readouterr()
     assert widths and max(widths) == 4 * 2 + 3 == 11
     assert full_trees == [] and not hasattr(qclone.cli, "execute_iterated_cloning")
+
+
+def test_iterate_grows_each_tree_step_once(monkeypatch, capsys):
+    """9 clones over 4 tree steps of 2 pairs each, and 2 wrong-key probes that
+    each grow 2 steps and append 1 fresh pair: 8 + 2 * 5 Bell-pair products."""
+    calls = {name: 0 for name in ("kron_states", "apply_unitary", "partial_trace")}
+
+    def counted(name):
+        fn = getattr(qclone.protocol, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(qclone.protocol, name, counted(name))
+    assert main(["iterate", "--k", "2", "--psi", "+"]) == 0
+    capsys.readouterr()
+    # apply_unitary: 4 + 2 * 2 encoders and 9 * 2 + 2 * 2 decoders;
+    # partial_trace: one 1-qubit reduction per outcome.
+    assert calls == {"kron_states": 18, "apply_unitary": 30, "partial_trace": 11}
 
 
 def test_iterate_decrypts_a_depth_three_tree(capsys):
