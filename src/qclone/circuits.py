@@ -16,10 +16,10 @@ import numpy as np
 
 from .claims import CIRCUIT_EQUIV_ATOL
 from .registers import QcloneError, RegisterOverflowError, check_register_size
-from .states import StateVector, _contract, apply_unitary, check_unitary
+from .states import StateVector, apply_unitary, check_unitary
 
 # Most wires one fused block of consecutive gates may touch.  A pass over the
-# 2^n batch moves its axes twice and does 2^k multiply-adds per entry, so
+# 2^n batch moves its axes once and does 2^k multiply-adds per entry, so
 # wider blocks mean fewer passes but more arithmetic in each.  For the n = 7
 # compile check, widths 4, 5 and 6 make 21, 14 and 12 passes and took 48, 42
 # and 43 ms a report (one BLAS thread, interleaved runs); 5 was the fastest.
@@ -235,11 +235,17 @@ def circuit_to_unitary(circuit: GateCircuit) -> np.ndarray:
     except RegisterOverflowError as exc:
         raise CircuitError(str(exc)) from None
     dim = 2**n
-    # Columns of the accumulating unitary are a batch of statevectors.
-    u = np.eye(dim, dtype=np.complex128)
+    # Columns are a batch of statevectors.  Each block leaves its target axes in
+    # front; the axes go back in order once, at the end.
+    u = np.eye(dim, dtype=np.complex128).reshape([2] * n + [dim])
+    axes = list(range(n + 1))  # axis i of u was axis axes[i] of the identity
     for wires, block in _fused_blocks(circuit):
-        u = _contract(u.reshape([2] * n + [dim]), block, wires, n).reshape(dim, dim)
-    return u
+        lead = [n - 1 - w for w in reversed(wires)]  # qubit q is axis n-1-q, msb first
+        u = np.moveaxis(u, [axes.index(a) for a in lead], range(len(lead)))
+        axes, shape = lead + [a for a in axes if a not in lead], u.shape
+        u = u.reshape(len(block), -1)  # a copy unless the lead axes were in front
+        u = (block @ u).reshape(shape)
+    return u.transpose(np.argsort(axes)).reshape(dim, dim)
 
 
 @dataclass(frozen=True)

@@ -458,7 +458,9 @@ def cmd_variants(args) -> int:
 # parser / entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every ``main`` call of the process; ``main`` runs ``cmd_<command>``."""
     parser = argparse.ArgumentParser(
         prog="qclone",
         description=(
@@ -477,14 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, default=None, help="decrypt only this clone")
     p.add_argument("--variant", choices=sorted(_VARIANTS), default="standard")
     p.add_argument("--out", default=None, help="write the JSON report here")
-    p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("sweep", help="coherent-information curve as CSV")
     p.add_argument("--n", type=int, default=1, help="number of clones")
     p.add_argument("--points", type=int, default=101)
     p.add_argument("--tmax", type=float, default=math.pi)
     p.add_argument("--out", default=None, help="write the CSV here (default stdout)")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compile", help="gate circuits, counts, equivalence checks")
     p.add_argument("--n", type=int, default=2, help="number of clones")
@@ -493,24 +493,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "openqasm2"], default="text")
     p.add_argument("--variant", choices=sorted(_VARIANTS), default="standard")
     p.add_argument("--out", default=None, help="directory for circuit files (default .)")
-    p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("audit", help="perfect-encryption audit over probe states")
     p.add_argument("--n", type=int, default=2, help="number of clones")
     p.add_argument("--out", default=None, help="write the JSON report here")
-    p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("iterate", help="tree of encodings: 3^k clones, 2k-qubit keys")
     p.add_argument("--k", type=int, default=1, help="tree depth")
     p.add_argument("--psi", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the JSON report here")
-    p.set_defaults(func=cmd_iterate)
 
     p = sub.add_parser("variants", help="substitution/data-side/reverse/rotated demos")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the JSON report here")
-    p.set_defaults(func=cmd_variants)
 
     return parser
 
@@ -529,7 +525,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise CliInputError(f"--seed must be a non-negative integer, got {args.seed}")
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)  # looked up now, so it can be patched
     except (QcloneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -68,7 +68,7 @@ class Variant(Enum):
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Number of clones, interaction time, encoder family."""
+    """Number of clones, interaction time, encoder family, and the operators built from them."""
 
     n: int
     t: float = math.pi / 4
@@ -83,6 +83,25 @@ class ProtocolConfig:
 
     def layout(self) -> RegisterLayout:
         return RegisterLayout.standard(self.n)
+
+    def _kept(self, key, build) -> np.ndarray:
+        kept = self.__dict__.setdefault("_operators", {})  # beside the frozen fields
+        if key not in kept:
+            kept[key] = build()
+            kept[key].setflags(write=False)
+        return kept[key]
+
+    @property
+    def encoder(self) -> np.ndarray:
+        """The encoder on [A, S_1..S_n], built on first use and kept read-only."""
+        return self._kept("encoder", lambda: encoding_unitary(self.n, self.t, self.variant))
+
+    def decoder(self, flips: int = 0) -> np.ndarray:
+        """The target-1 decoder, alpha_2 flipped ``flips`` times.  Every other slot
+        carries the same factor, so target t swaps the key wires of pairs 1 and t."""
+        a = AlphaCoefficients.for_angle(self.n, self.t, self.variant)
+        alphas = AlphaCoefficients((a[0], a[1], a[2] * (-1) ** flips, a[3]))
+        return self._kept(("decoder", flips % 2), lambda: decoding_unitary(self.n, alphas))
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +293,8 @@ def prepare_initial(config: ProtocolConfig, psi: StateVector) -> StateVector:
 def encode(state: StateVector, config: ProtocolConfig) -> StateVector:
     """Apply the encoder to the (A, S_1..S_n) block of a prepared register."""
     layout = state.layout
-    u = encoding_unitary(config.n, config.t, config.variant)
     targets = [layout.data] + [layout.signal(i) for i in range(1, config.n + 1)]
-    return apply_unitary(state, u, targets)
+    return apply_unitary(state, config.encoder, targets)
 
 
 @dataclass(frozen=True)
@@ -349,13 +367,11 @@ def decrypt_with_substitution(
             f"noise qubit N_{target} belongs to the target pair and cannot be"
             " substituted"
         )
-    a = AlphaCoefficients.for_angle(config.n, config.t, config.variant)
-    alphas = AlphaCoefficients((a[0], a[1], a[2] * (-1) ** len(lost), a[3]))
-    u = decoding_unitary(config.n, alphas, target)
+    u = config.decoder(len(lost))
     layout = state.layout
-    physical = [layout.signal(target)]
-    for j in range(1, config.n + 1):
-        physical.append(layout.signal(j) if j in lost else layout.noise(j))
+    keys = [layout.signal(j) if j in lost else layout.noise(j) for j in range(1, config.n + 1)]
+    keys[0], keys[target - 1] = keys[target - 1], keys[0]  # the target's pair plays pair 1
+    physical = [layout.signal(target), *keys]
     warnings = ()
     if config.n == 1:
         warnings = ("n=1: the clone is recoverable but was never fully encrypted",)
@@ -367,7 +383,7 @@ def decrypt_with_substitution(
 def _unencode(state: StateVector, config: ProtocolConfig, partner, reference) -> DecryptionOutcome:
     """Apply the encoder's adjoint to [A] + partner(1..n) and read out A."""
     layout = state.layout
-    u = encoding_unitary(config.n, config.t, config.variant)
+    u = config.encoder
     targets = [layout.data] + [partner(j) for j in range(1, config.n + 1)]
     return _finish_outcome(apply_unitary(state, u.conj().T, targets), layout.data, reference)
 
@@ -481,19 +497,23 @@ def plan_iterated_cloning(depth: int) -> IteratedCloningPlan:
 
 
 @functools.cache
-def _tree_operators() -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The n=2 encoder, and per ancestry role the operator that undoes it.
-
-    Role 0 (the data slot) is undone by the encoder's adjoint, role i by the
-    decoder targeting signal i.  Every tree step shares these, so they are
-    built once and handed out read-only.
-    """
-    u_enc = encoding_unitary(2, math.pi / 4)
-    alphas = AlphaCoefficients.standard(2)
-    undo = (u_enc.conj().T, *(decoding_unitary(2, alphas, target=i) for i in (1, 2)))
-    for op in (u_enc, *undo):
+def _tree_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n=2 encoder, its adjoint and the target-1 decoder, read-only.  The decoder
+    takes the exact standard phases: c_0/c_mu at the rounded pi/4 miss the last bit."""
+    config = ProtocolConfig(n=2)
+    adjoint = config.encoder.conj().T
+    decoder = decoding_unitary(2, AlphaCoefficients.standard(2))
+    for op in (adjoint, decoder):
         op.setflags(write=False)
-    return u_enc, undo
+    return config.encoder, adjoint, decoder
+
+
+def _undo(state: State, role: int, carrier: int, pair) -> State:
+    """Undo a tree step at ``carrier`` with key ``pair``: role 0 (the data slot) by the
+    encoder's adjoint, role i by the target-1 decoder with key i first."""
+    _, adjoint, decoder = _tree_operators()
+    wires = [carrier, *(pair[::-1] if role == 2 else pair)]
+    return apply_unitary(state, decoder if role else adjoint, wires)
 
 
 def _seed(psi: StateVector) -> StateVector:
@@ -504,7 +524,7 @@ def _seed(psi: StateVector) -> StateVector:
 
 def _grow(state: StateVector, step: CloningStep, local: dict[int, int]) -> StateVector:
     """Append the step's two Bell pairs, then encode; ``local`` gains their positions."""
-    u, _ = _tree_operators()
+    u = _tree_operators()[0]
     for signal, noise in zip(step.signals, step.noises):
         state, (local[signal], local[noise]) = append_fresh_pair(state)
     return apply_unitary(state, u, [local[q] for q in (step.data, *step.signals)])
@@ -562,13 +582,12 @@ def decrypt_clone(
         if not isinstance(pair, (tuple, list)) or not len(pair) == len(allowed & set(pair)) == 2:
             raise ProtocolError(f"key_override level {level}: {pair!r} is not two distinct"
                                 f" register qubits other than the clone {clone}")
-    _, undo = _tree_operators()
     chain = plan.ancestry(clone)
     keys = [key_override.get(step.level, step.noises) for step, _ in chain]
     cone = sorted({clone}.union(*keys))
     cone_state = partial_trace(state, cone)
     for (_, role), pair in zip(chain, keys):
-        cone_state = apply_unitary(cone_state, undo[role], [cone.index(q) for q in (clone, *pair)])
+        cone_state = _undo(cone_state, role, cone.index(clone), [cone.index(q) for q in pair])
     return _finish_outcome(cone_state, cone.index(clone), reference)
 
 
@@ -589,7 +608,6 @@ def decrypt_clones_from_input(
     """
     if fresh_key_level is not None and not 1 <= fresh_key_level <= plan.depth:
         raise ProtocolError(f"fresh_key_level {fresh_key_level} outside 1..{plan.depth}")
-    _, undo = _tree_operators()
     registers, prev, local = [_seed(psi)], [], {0: 0}  # registers[i]: prev[:i] grown
     for clone in clones:
         chain = plan.ancestry(clone)
@@ -603,5 +621,5 @@ def decrypt_clones_from_input(
             pair = [local[q] for q in step.noises]
             if step.level == fresh_key_level:
                 state, pair = append_fresh_pair(state)
-            state = apply_unitary(state, undo[role], [local[clone], *pair])
+            state = _undo(state, role, local[clone], pair)
         yield _finish_outcome(state, local[clone], reference)

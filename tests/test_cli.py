@@ -8,6 +8,7 @@ import pkgutil
 import resource
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qclone
-from qclone import cli
+from qclone import cli, protocol
 from qclone.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -527,6 +528,35 @@ def test_register_cap_env_holds_for_one_run_only(capsys, monkeypatch):
     monkeypatch.delenv("QCLONE_MAX_QUBITS")
     assert max_register_qubits() == DEFAULT_MAX_QUBITS
     assert run_cli(capsys, "demo", "--n", "2", "--psi", "0")[0] == EXIT_OK  # 5 qubits
+
+
+def test_two_runs_share_one_parser_and_each_restores_the_cap(capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    monkeypatch.setenv("QCLONE_MAX_QUBITS", "4")
+    assert run_cli(capsys, "demo", "--n", "1", "--psi", "0")[0] == EXIT_OK  # 3 qubits
+    assert max_register_qubits() == DEFAULT_MAX_QUBITS
+    code, _, err = run_cli(capsys, "demo", "--n", "2", "--psi", "0")  # 5 qubits
+    assert code == EXIT_INPUT_ERROR and "exceeds the cap of 4" in err
+    assert max_register_qubits() == DEFAULT_MAX_QUBITS
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_a_run_builds_each_protocol_operator_once(capsys, monkeypatch):
+    """One encoder and one decoder serve a whole demo; one encoder a whole audit."""
+    calls = Counter()
+    for name in ("encoding_unitary", "decoding_unitary"):
+
+        def counted(*args, _name=name, _build=getattr(protocol, name)):
+            calls[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(protocol, name, counted)
+    assert run_cli(capsys, "demo", "--n", "4")[0] == EXIT_OK
+    assert calls == {"encoding_unitary": 1, "decoding_unitary": 1}
+    calls.clear()
+    assert run_cli(capsys, "audit", "--n", "5")[0] == EXIT_OK
+    assert calls == {"encoding_unitary": 1}
 
 
 @pytest.mark.parametrize(

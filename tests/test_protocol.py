@@ -29,6 +29,7 @@ from qclone.protocol import (
     prepare_initial,
 )
 from qclone.states import (
+    STATE_ATOL,
     apply_unitary,
     check_unitary,
     fidelity_pure,
@@ -405,10 +406,66 @@ def test_single_pair_decrypt_is_substitution_with_nothing_lost(rng):
     assert any("never fully encrypted" in w for w in substituted.warnings)
 
 
-def test_decoder_is_unitary_for_both_alpha_families():
-    for n in (1, 2, 3):
-        for alphas in both_alpha_families(n):
-            check_unitary(decoding_unitary(n, alphas))
+def test_encoder_and_every_decoder_are_unitary():
+    """Both products U^dagger U and U U^dagger, entry for entry, for n <= 6."""
+    for n, variant in itertools.product(range(1, 7), Variant):
+        eye = np.eye(2 ** (n + 1))
+        a = AlphaCoefficients.for_angle(n, PROTOCOL_T, variant)
+        flipped = AlphaCoefficients((a[0], a[1], -a[2], a[3]))  # substitution
+        ops = [encoding_unitary(n, t, variant) for t in (PROTOCOL_T, 3 * PROTOCOL_T, 0.3)]
+        ops += [decoding_unitary(n, alphas, target) for alphas in (a, flipped)
+                for target in range(1, n + 1)]
+        for u in ops:
+            assert np.abs(u.conj().T @ u - eye).max() <= STATE_ATOL, (n, variant)
+            assert np.abs(u @ u.conj().T - eye).max() <= STATE_ATOL, (n, variant)
+
+
+# ---------------------------------------------------------------------------
+# operators kept on the config
+
+
+def lost_sets(others, largest=2):
+    return itertools.chain.from_iterable(
+        itertools.combinations(others, k) for k in range(min(largest, len(others)) + 1)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("variant", list(Variant))
+def test_one_decoder_serves_every_target_bitwise(n, variant, rng):
+    """The target-1 decoder on swapped key wires is the per-target decoder."""
+    config = ProtocolConfig(n=n, variant=variant)
+    state = encode(prepare_initial(config, haar_random_qubit(rng)), config)
+    layout = state.layout
+    a = AlphaCoefficients.for_angle(n, PROTOCOL_T, variant)
+    for target in range(1, n + 1):
+        for lost in lost_sets([j for j in range(1, n + 1) if j != target]):
+            alphas = AlphaCoefficients((a[0], a[1], a[2] * (-1) ** len(lost), a[3]))
+            wires = [layout.signal(target)] + [
+                layout.signal(j) if j in lost else layout.noise(j) for j in range(1, n + 1)
+            ]
+            expect = apply_unitary(state, decoding_unitary(n, alphas, target), wires)
+            got = decrypt_with_substitution(state, config, lost, target=target).post_state
+            assert np.array_equal(got.amplitudes, expect.amplitudes), (target, lost)
+
+
+def test_config_keeps_its_operators_read_only():
+    config = ProtocolConfig(n=3, variant=Variant.ROTATED_X2)
+    a = AlphaCoefficients.for_angle(3, PROTOCOL_T, Variant.ROTATED_X2)
+    flipped = AlphaCoefficients((a[0], a[1], -a[2], a[3]))
+    assert config.encoder is config.encoder
+    assert config.decoder(0) is config.decoder(2) is not config.decoder(1)
+    assert np.array_equal(config.encoder, encoding_unitary(3, PROTOCOL_T, Variant.ROTATED_X2))
+    assert np.array_equal(config.decoder(), decoding_unitary(3, a))
+    assert np.array_equal(config.decoder(1), decoding_unitary(3, flipped))
+    for op in (config.encoder, config.decoder(), config.decoder(1)):
+        with pytest.raises(ValueError, match="read-only"):
+            op[0, 0] = 0
+    # The kept operators are no part of the config's identity.
+    twin = ProtocolConfig(n=3, variant=Variant.ROTATED_X2)
+    assert config == twin and hash(config) == hash(twin)
+    with pytest.raises(AngleError):
+        ProtocolConfig(n=2, t=0.6).decoder()
 
 
 # ---------------------------------------------------------------------------
