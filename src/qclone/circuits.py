@@ -265,7 +265,7 @@ def equivalence_up_to_global_phase(u, v) -> EquivalenceResult:
     if abs(pivot) < 1e-14:
         return EquivalenceResult(False, 1.0 + 0j, float(np.abs(u - v).max()))
     phase = pivot / abs(pivot)
-    dev = float(np.abs(u - phase * v).max())
+    dev = float(np.abs(phase * v - u).max())  # subtracting into the product's buffer
     return EquivalenceResult(dev < CIRCUIT_EQUIV_ATOL, complex(phase), dev)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -190,9 +191,10 @@ def compile_decoding(n: int, alphas: AlphaCoefficients) -> GateCircuit:
             gates.append(gate_x(flip_wire))
         phase_u = (alphas[mu] / alphas[0]) * np.eye(2)
         gates.extend(compile_ccu(phase_u, (0, 1), 2).gates)
-        sig_t = SIGMA[mu].T
+        block = compile_ccu(SIGMA[mu].T, (0, 1), 2).gates  # one square root per Pauli
         for wire in range(2, n + 1):
-            gates.extend(compile_ccu(sig_t, (0, 1), wire).gates)
+            for g in block:  # retargeted from wire 2; each copy checks its matrix again
+                gates.append(replace(g, targets=[wire if q == 2 else q for q in g.targets]))
         if flip_wire is not None:
             gates.append(gate_x(flip_wire))
     gates.extend(_v_tilde_inverse_gates())

@@ -35,7 +35,8 @@ from .states import (
     DensityOperator,
     State,
     StateVector,
-    apply_unitary,
+    _apply,
+    check_unitary,
     fidelity_pure,
     kron_states,
     partial_trace,
@@ -85,9 +86,10 @@ class ProtocolConfig:
         return RegisterLayout.standard(self.n)
 
     def _kept(self, key, build) -> np.ndarray:
+        """The operator under ``key``, built, checked unitary and frozen on first use."""
         kept = self.__dict__.setdefault("_operators", {})  # beside the frozen fields
         if key not in kept:
-            kept[key] = build()
+            kept[key] = check_unitary(build())
             kept[key].setflags(write=False)
         return kept[key]
 
@@ -96,12 +98,20 @@ class ProtocolConfig:
         """The encoder on [A, S_1..S_n], built on first use and kept read-only."""
         return self._kept("encoder", lambda: encoding_unitary(self.n, self.t, self.variant))
 
+    @property
+    def encoder_adjoint(self) -> np.ndarray:
+        """The encoder's adjoint, for undoing it; built, checked and kept like it."""
+        return self._kept("encoder_adjoint", lambda: self.encoder.conj().T)
+
     def decoder(self, flips: int = 0) -> np.ndarray:
         """The target-1 decoder, alpha_2 flipped ``flips`` times.  Every other slot
         carries the same factor, so target t swaps the key wires of pairs 1 and t."""
-        a = AlphaCoefficients.for_angle(self.n, self.t, self.variant)
-        alphas = AlphaCoefficients((a[0], a[1], a[2] * (-1) ** flips, a[3]))
-        return self._kept(("decoder", flips % 2), lambda: decoding_unitary(self.n, alphas))
+
+        def build() -> np.ndarray:  # the phases, too, only when it builds
+            a = AlphaCoefficients.for_angle(self.n, self.t, self.variant)
+            alphas = AlphaCoefficients((a[0], a[1], a[2] * (-1) ** flips, a[3]))
+            return decoding_unitary(self.n, alphas)
+        return self._kept(("decoder", flips % 2), build)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +304,7 @@ def encode(state: StateVector, config: ProtocolConfig) -> StateVector:
     """Apply the encoder to the (A, S_1..S_n) block of a prepared register."""
     layout = state.layout
     targets = [layout.data] + [layout.signal(i) for i in range(1, config.n + 1)]
-    return apply_unitary(state, config.encoder, targets)
+    return _apply(state, config.encoder, targets)
 
 
 @dataclass(frozen=True)
@@ -376,16 +386,15 @@ def decrypt_with_substitution(
     if config.n == 1:
         warnings = ("n=1: the clone is recoverable but was never fully encrypted",)
     return _finish_outcome(
-        apply_unitary(state, u, physical), layout.signal(target), reference, warnings
+        _apply(state, u, physical), layout.signal(target), reference, warnings
     )
 
 
 def _unencode(state: StateVector, config: ProtocolConfig, partner, reference) -> DecryptionOutcome:
     """Apply the encoder's adjoint to [A] + partner(1..n) and read out A."""
     layout = state.layout
-    u = config.encoder
     targets = [layout.data] + [partner(j) for j in range(1, config.n + 1)]
-    return _finish_outcome(apply_unitary(state, u.conj().T, targets), layout.data, reference)
+    return _finish_outcome(_apply(state, config.encoder_adjoint, targets), layout.data, reference)
 
 
 def decrypt_from_A(
@@ -498,14 +507,12 @@ def plan_iterated_cloning(depth: int) -> IteratedCloningPlan:
 
 @functools.cache
 def _tree_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n=2 encoder, its adjoint and the target-1 decoder, read-only.  The decoder
-    takes the exact standard phases: c_0/c_mu at the rounded pi/4 miss the last bit."""
+    """The n=2 encoder, its adjoint and the target-1 decoder, checked and read-only.  The
+    decoder takes the exact standard phases: c_0/c_mu at the rounded pi/4 miss the last bit."""
     config = ProtocolConfig(n=2)
-    adjoint = config.encoder.conj().T
-    decoder = decoding_unitary(2, AlphaCoefficients.standard(2))
-    for op in (adjoint, decoder):
-        op.setflags(write=False)
-    return config.encoder, adjoint, decoder
+    decoder = check_unitary(decoding_unitary(2, AlphaCoefficients.standard(2)))
+    decoder.setflags(write=False)
+    return config.encoder, config.encoder_adjoint, decoder
 
 
 def _undo(state: State, role: int, carrier: int, pair) -> State:
@@ -513,7 +520,7 @@ def _undo(state: State, role: int, carrier: int, pair) -> State:
     encoder's adjoint, role i by the target-1 decoder with key i first."""
     _, adjoint, decoder = _tree_operators()
     wires = [carrier, *(pair[::-1] if role == 2 else pair)]
-    return apply_unitary(state, decoder if role else adjoint, wires)
+    return _apply(state, decoder if role else adjoint, wires)
 
 
 def _seed(psi: StateVector) -> StateVector:
@@ -523,11 +530,12 @@ def _seed(psi: StateVector) -> StateVector:
 
 
 def _grow(state: StateVector, step: CloningStep, local: dict[int, int]) -> StateVector:
-    """Append the step's two Bell pairs, then encode; ``local`` gains their positions."""
-    u = _tree_operators()[0]
-    for signal, noise in zip(step.signals, step.noises):
-        state, (local[signal], local[noise]) = append_fresh_pair(state)
-    return apply_unitary(state, u, [local[q] for q in (step.data, *step.signals)])
+    """Append the step's two Bell pairs, as S, N, S, N, in one product, then encode;
+    ``local`` gains their positions.  Tree registers keep the generic layout."""
+    n = state.num_qubits
+    local.update(zip(itertools.chain(*zip(step.signals, step.noises)), range(n, n + 4)))
+    state = kron_states([state.amplitudes, BELL_PHI, BELL_PHI], RegisterLayout.generic(n + 4))
+    return _apply(state, _tree_operators()[0], [local[q] for q in (step.data, *step.signals)])
 
 
 def execute_iterated_cloning(plan: IteratedCloningPlan, psi: StateVector) -> StateVector:

@@ -173,15 +173,15 @@ def _contract(tensor: np.ndarray, u: np.ndarray, targets: tuple[int, ...], n: in
     """Contract a k-qubit operator into the first n qubit axes of ``tensor``.
 
     ``tensor`` holds axes [qubit n-1, ..., qubit 0, *batch]; any trailing batch
-    axes ride along untouched.  The target axes are moved to the front, most
-    significant first, so that u acts on the rows of one matrix product.
+    axes ride along untouched.  One transpose moves the target axes to the front,
+    most significant first, for one matrix product with u; its inverse undoes it.
     """
-    k = len(targets)
-    lead = range(k)
-    qubit_axes = [n - 1 - targets[k - 1 - j] for j in lead]
-    moved = np.moveaxis(tensor, qubit_axes, lead)
-    out = u @ moved.reshape(2**k, -1)
-    return np.moveaxis(out.reshape(moved.shape), lead, qubit_axes)
+    front = [n - 1 - q for q in reversed(targets)]
+    order = front + [a for a in range(tensor.ndim) if a not in front]
+    inverse = sorted(range(len(order)), key=order.__getitem__)
+    moved = tensor.transpose(order)
+    out = u @ moved.reshape(2 ** len(targets), -1)
+    return out.reshape(moved.shape).transpose(inverse)
 
 
 def apply_unitary(state: State, u, targets) -> State:
@@ -189,13 +189,18 @@ def apply_unitary(state: State, u, targets) -> State:
 
     A density operator is conjugated: U rho U^dagger.
     """
+    return _apply(state, check_unitary(u), targets)
+
+
+def _apply(state: State, u: np.ndarray, targets) -> State:
+    """:func:`apply_unitary` for an operator its owner has already checked:
+    the targets and the dimension are checked here, unitarity is not."""
     targets = tuple(int(q) for q in targets)
     n = state.num_qubits
     if len(set(targets)) != len(targets):
         raise StateValidationError(f"repeated target in {targets}")
     if any(q < 0 or q >= n for q in targets):
         raise StateValidationError(f"targets {targets} out of range for {n} qubits")
-    u = check_unitary(u)
     if u.shape[0] != 2 ** len(targets):
         raise StateValidationError(
             f"operator dimension {u.shape[0]} does not fit {len(targets)} targets"

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qclone
-from qclone import cli, protocol
+from qclone import cli, protocol, states
 from qclone.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -31,7 +31,7 @@ from qclone.cli import (
     report_schema,
 )
 from qclone.registers import DEFAULT_MAX_QUBITS, max_register_qubits
-from qclone.states import StateVector
+from qclone.states import StateValidationError, StateVector
 
 
 def run_cli(capsys, *argv):
@@ -557,6 +557,48 @@ def test_a_run_builds_each_protocol_operator_once(capsys, monkeypatch):
     calls.clear()
     assert run_cli(capsys, "audit", "--n", "5")[0] == EXIT_OK
     assert calls == {"encoding_unitary": 1}
+
+
+def test_each_protocol_operator_is_checked_once_where_it_is_built(capsys, monkeypatch):
+    """The config (or the tree's operator cache) checks what it builds; applying it
+    checks nothing, so the public checker in ``states`` is never reached."""
+    protocol._tree_operators.cache_clear()
+    checked = Counter()
+
+    def spy(binding, check):
+        def counted(u):
+            checked[binding] += 1
+            return check(u)
+
+        return counted
+
+    monkeypatch.setattr(protocol, "check_unitary", spy("owner", protocol.check_unitary))
+    monkeypatch.setattr(states, "check_unitary", spy("apply", states.check_unitary))
+    protocol._tree_operators()  # the n = 2 encoder, its adjoint and the tree's decoder
+    assert checked == Counter({"owner": 3})
+    for argv, owner_checks in [
+        (("demo", "--n", "4"), 2),  # the encoder and the one decoder
+        (("audit", "--n", "5"), 1),  # the encoder
+        (("iterate", "--k", "2"), 0),  # the tree's three operators exist already
+    ]:
+        checked.clear()
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        assert checked == Counter({"owner": owner_checks}), argv
+
+
+@pytest.mark.parametrize(
+    "builder, use",
+    [("encoding_unitary", lambda c: c.encoder), ("decoding_unitary", lambda c: c.decoder())],
+)
+def test_a_non_unitary_protocol_operator_is_refused_on_first_use(capsys, monkeypatch, builder, use):
+    monkeypatch.setattr(protocol, builder, lambda n, *_: 1.01 * np.eye(2 ** (n + 1)))
+    config = protocol.ProtocolConfig(n=2)
+    for _ in range(2):  # refused, and not kept
+        with pytest.raises(StateValidationError, match="not unitary"):
+            use(config)
+    code, out, err = run_cli(capsys, "demo", "--n", "2", "--psi", "0")
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "not unitary" in err
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import embed_operator, random_unitary
-from qclone import cli
+from qclone import cli, compiler
 from qclone.circuits import (
     GateCircuit,
     circuit_to_unitary,
@@ -197,6 +197,21 @@ def test_decoder_matches_dense_reference(n, variant):
     assert result.equivalent
     assert result.max_entry_deviation < 1e-10
     assert result.global_phase == pytest.approx(1.0, abs=1e-9)
+
+
+def test_decoder_takes_one_square_root_per_block(monkeypatch):
+    """Each Pauli's five-gate block is built once and retargeted to every slot:
+    a phase and a Pauli root for each of the three patterns, whatever n is."""
+    roots = []
+
+    def counted(u):
+        roots.append(u)
+        return principal_sqrt_2x2(u)
+
+    monkeypatch.setattr(compiler, "principal_sqrt_2x2", counted)
+    circuit = compile_decoding(7, AlphaCoefficients.standard(7))
+    assert len(roots) == 6
+    assert circuit.two_qubit_count == 15 * 7 + 7
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qclone
 from qclone.registers import RegisterLayout
 from qclone.states import (
     DensityOperator,
     StateValidationError,
     StateVector,
+    _apply,
     _contract,
     apply_unitary,
     basis_state,
@@ -176,6 +178,31 @@ def test_apply_unitary_rejects_the_same_inputs_for_either_kind_of_state(rng):
                 apply_unitary(state, u, targets)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+
+def test_the_private_kernel_skips_only_the_unitarity_product(rng, monkeypatch):
+    """``_apply`` is for operators their owner has checked: it never reaches
+    ``check_unitary``, refuses bad targets and dimensions as the public
+    ``apply_unitary`` does and matches it bitwise, while the public one still
+    rejects a non-unitary for either kind of state."""
+    pure = haar_state(rng, 3)
+    mixed = DensityOperator(np.outer(pure.amplitudes, pure.amplitudes.conj()), pure.layout)
+    u = random_unitary(rng, 4)
+    public = [apply_unitary(state, u, [2, 0]) for state in (pure, mixed)]
+    for state in (pure, mixed):
+        with pytest.raises(StateValidationError, match="not unitary"):
+            apply_unitary(state, np.diag([1.0, 1.0 + 4e-6]), [1])
+    monkeypatch.setattr(qclone.states, "check_unitary", None)
+    for state, expected in zip((pure, mixed), public):
+        for targets, match in [([1, 1], "repeated target"), ([0, 3], "out of range"),
+                               ([0], "does not fit")]:
+            with pytest.raises(StateValidationError, match=match):
+                _apply(state, u, targets)
+        got = _apply(state, u, [2, 0])
+        assert type(got) is type(expected)
+        field = "amplitudes" if isinstance(got, StateVector) else "matrix"
+        assert np.array_equal(getattr(got, field), getattr(expected, field))
+    assert "_apply" not in qclone.__all__ and "apply_unitary" in qclone.__all__
 
 
 def _tensordot_contract(tensor, u, targets, n):

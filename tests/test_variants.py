@@ -32,6 +32,7 @@ from qclone.cli import main
 from qclone.registers import RegisterOverflowError
 from qclone.states import (
     StateVector,
+    _apply,
     apply_unitary,
     haar_random_qubit,
     kron_states,
@@ -265,7 +266,7 @@ def test_tree_decryption_reduces_the_register_once(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(qclone.protocol, "apply_unitary", spy(applied, apply_unitary))
+    monkeypatch.setattr(qclone.protocol, "_apply", spy(applied, _apply))
     monkeypatch.setattr(qclone.protocol, "partial_trace", spy(reduced, partial_trace))
     plan = plan_iterated_cloning(2)
     state = execute_iterated_cloning(plan, named_state("+"))
@@ -441,9 +442,9 @@ def test_iterate_never_holds_a_register_wider_than_the_plan(monkeypatch, capsys)
 
 
 def test_iterate_grows_each_tree_step_once(monkeypatch, capsys):
-    """9 clones over 4 tree steps of 2 pairs each, and 2 wrong-key probes that
-    each grow 2 steps and append 1 fresh pair: 8 + 2 * 5 Bell-pair products."""
-    calls = {name: 0 for name in ("kron_states", "apply_unitary", "partial_trace")}
+    """9 clones over 4 tree steps, and 2 wrong-key probes that each grow 2 steps
+    and append 1 fresh pair: 4 + 2 * 3 products, each step's two pairs in one."""
+    calls = {name: 0 for name in ("kron_states", "_apply", "partial_trace")}
 
     def counted(name):
         fn = getattr(qclone.protocol, name)
@@ -458,9 +459,9 @@ def test_iterate_grows_each_tree_step_once(monkeypatch, capsys):
         monkeypatch.setattr(qclone.protocol, name, counted(name))
     assert main(["iterate", "--k", "2", "--psi", "+"]) == 0
     capsys.readouterr()
-    # apply_unitary: 4 + 2 * 2 encoders and 9 * 2 + 2 * 2 decoders;
+    # _apply: 4 + 2 * 2 encoders and 9 * 2 + 2 * 2 decoders;
     # partial_trace: one 1-qubit reduction per outcome.
-    assert calls == {"kron_states": 18, "apply_unitary": 30, "partial_trace": 11}
+    assert calls == {"kron_states": 10, "_apply": 30, "partial_trace": 11}
 
 
 def test_iterate_decrypts_a_depth_three_tree(capsys):
