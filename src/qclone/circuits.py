@@ -25,11 +25,7 @@ from .states import StateVector, apply_unitary, check_unitary
 # and 43 ms a report (one BLAS thread, interleaved runs); 5 was the fastest.
 _FUSE_QUBITS = 5
 
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 _INV_SQRT2 = 1 / math.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
-_P1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
 
 
 class CircuitError(QcloneError):
@@ -91,24 +87,6 @@ class Gate:
     def is_two_qubit(self) -> bool:
         return self.kind in _TWO_QUBIT_KINDS
 
-    def unitary(self) -> np.ndarray:
-        """Local little-endian matrix (2x2 or 4x4 over the target wires)."""
-        k = self.kind
-        if k is GateKind.H:
-            return _H.copy()
-        if k is GateKind.X:
-            return _X.copy()
-        if k is GateKind.RZ:
-            half = self.param / 2.0
-            return np.diag([cmath.exp(-1j * half), cmath.exp(1j * half)])
-        if k is GateKind.PHASE:
-            return np.diag([1.0, cmath.exp(1j * self.param)])
-        if k is GateKind.CNOT:
-            # control is bit 0, target bit 1
-            return np.kron(np.eye(2), _P0) + np.kron(_X, _P1)
-        # CONTROLLED_U, with the same wire convention as CNOT
-        return np.kron(np.eye(2), _P0) + np.kron(np.asarray(self.matrix), _P1)
-
 
 def gate_h(q: int) -> Gate:
     return Gate(GateKind.H, (q,))
@@ -165,7 +143,7 @@ def _fused_blocks(circuit: GateCircuit):
     Gates are only grouped, never reordered, so applying the blocks in turn
     applies the circuit.  Bit m of a product's index belongs to ``wires[m]``.
     Products are built by applying the gates in place to the rows of the 2^k
-    identity, so ``Gate.unitary`` stays an independent oracle for the tests.
+    identity, so the per-gate matrices of the tests stay an independent oracle.
     """
     runs: list[tuple[list[int], list[Gate]]] = []
     for g in circuit.gates:

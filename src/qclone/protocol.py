@@ -33,7 +33,6 @@ from .paulis import SIGMA, PauliString
 from .registers import QcloneError, RegisterLayout, check_register_size
 from .states import (
     DensityOperator,
-    State,
     StateVector,
     _apply,
     check_unitary,
@@ -311,12 +310,14 @@ def encode(state: StateVector, config: ProtocolConfig) -> StateVector:
 class DecryptionOutcome:
     """What a decryption attempt produced: ``carrier`` indexes ``post_state``.
 
-    For the tree decryptions, ``post_state`` is the decrypted key cone or ancestry register.
+    ``post_state`` is the decrypted register: the whole register for every
+    decryption but :func:`decrypt_clones_from_input`'s, which is a clone's
+    ancestry register.
     """
 
     recovered: DensityOperator
     fidelity: float | None
-    post_state: State
+    post_state: StateVector
     carrier: int
     warnings: tuple[str, ...] = ()
 
@@ -332,7 +333,7 @@ class DecryptionOutcome:
 
 
 def _finish_outcome(
-    post: State,
+    post: StateVector,
     carrier: int,
     reference: StateVector | None,
     warnings: tuple[str, ...] = (),
@@ -515,7 +516,7 @@ def _tree_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return config.encoder, config.encoder_adjoint, decoder
 
 
-def _undo(state: State, role: int, carrier: int, pair) -> State:
+def _undo(state: StateVector, role: int, carrier: int, pair) -> StateVector:
     """Undo a tree step at ``carrier`` with key ``pair``: role 0 (the data slot) by the
     encoder's adjoint, role i by the target-1 decoder with key i first."""
     _, adjoint, decoder = _tree_operators()
@@ -575,11 +576,9 @@ def decrypt_clone(
     — deliberately handing the decoder the wrong key shows that nothing about
     the input leaks without the right one.
 
-    Every decoder acts inside the key cone (the clone and its keys, sorted), and a
-    partial trace commutes with unitaries on what it keeps, so the walk runs on the
-    cone's density operator.  ``post_state`` is the decrypted cone, ``carrier`` the
-    clone's index in it and ``residual`` the consumed keys.  This full-register walk
-    is the oracle for :func:`decrypt_clones_from_input`.
+    Every ancestry step is undone on the whole register, so ``post_state`` is the
+    decrypted register and ``carrier`` is ``clone``.  This full-register walk is
+    the oracle for :func:`decrypt_clones_from_input`.
     """
     key_override = key_override or {}
     unknown = sorted(set(key_override) - set(range(1, plan.depth + 1)))
@@ -590,20 +589,17 @@ def decrypt_clone(
         if not isinstance(pair, (tuple, list)) or not len(pair) == len(allowed & set(pair)) == 2:
             raise ProtocolError(f"key_override level {level}: {pair!r} is not two distinct"
                                 f" register qubits other than the clone {clone}")
-    chain = plan.ancestry(clone)
-    keys = [key_override.get(step.level, step.noises) for step, _ in chain]
-    cone = sorted({clone}.union(*keys))
-    cone_state = partial_trace(state, cone)
-    for (_, role), pair in zip(chain, keys):
-        cone_state = _undo(cone_state, role, cone.index(clone), [cone.index(q) for q in pair])
-    return _finish_outcome(cone_state, cone.index(clone), reference)
+    for step, role in plan.ancestry(clone):
+        state = _undo(state, role, clone, key_override.get(step.level, step.noises))
+    return _finish_outcome(state, clone, reference)
 
 
 def decrypt_clones_from_input(
     plan: IteratedCloningPlan, psi: StateVector, clones,
     reference: StateVector | None = None, fresh_key_level: int | None = None,
 ) -> Iterator[DecryptionOutcome]:
-    """Yield :func:`decrypt_clone`'s outcome for each clone, in the order given.
+    """Yield each clone's outcome, in the order given, with :func:`decrypt_clone`'s
+    ``recovered`` and ``fidelity``.
 
     Encoders off a clone's ancestry act only on qubits its key cone traces out,
     so each clone is decrypted on the 1 + 4*depth qubits grown through its

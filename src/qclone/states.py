@@ -1,4 +1,8 @@
-"""Dense statevector and density-operator engine.
+"""Dense statevector engine.
+
+Unitaries act on statevectors, and reductions of statevectors are the only
+density operators: :func:`partial_trace` returns one and the functionals below
+read it, but nothing applies a unitary to it or reduces it further.
 
 Everything is little-endian: qubit ``q`` is bit ``q`` of the basis-state
 index, so ``|q1 q0> = |10>`` is index 2.  Unitaries handed to
@@ -100,17 +104,15 @@ class DensityOperator:
         return self.layout.num_qubits
 
 
-State = StateVector | DensityOperator
+def _pure(state, what: str) -> StateVector:
+    """Refuse anything but a statevector, naming what was passed instead."""
+    if not isinstance(state, StateVector):
+        raise StateValidationError(f"{what} takes a StateVector, not {type(state).__name__}")
+    return state
 
 
 # ---------------------------------------------------------------------------
 # constructors
-
-
-def basis_state(layout: RegisterLayout, index: int = 0) -> StateVector:
-    amps = np.zeros(2**layout.num_qubits, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(amps, layout)
 
 
 def single_qubit(amp0: complex, amp1: complex) -> StateVector:
@@ -184,19 +186,16 @@ def _contract(tensor: np.ndarray, u: np.ndarray, targets: tuple[int, ...], n: in
     return out.reshape(moved.shape).transpose(inverse)
 
 
-def apply_unitary(state: State, u, targets) -> State:
-    """Apply a k-qubit unitary to ``targets`` (ordered, little-endian in u).
-
-    A density operator is conjugated: U rho U^dagger.
-    """
+def apply_unitary(state: StateVector, u, targets) -> StateVector:
+    """Apply a k-qubit unitary to ``targets`` (ordered, little-endian in u)."""
     return _apply(state, check_unitary(u), targets)
 
 
-def _apply(state: State, u: np.ndarray, targets) -> State:
+def _apply(state: StateVector, u: np.ndarray, targets) -> StateVector:
     """:func:`apply_unitary` for an operator its owner has already checked:
-    the targets and the dimension are checked here, unitarity is not."""
+    the state, the targets and the dimension are checked here, unitarity is not."""
+    n = _pure(state, "apply_unitary").num_qubits
     targets = tuple(int(q) for q in targets)
-    n = state.num_qubits
     if len(set(targets)) != len(targets):
         raise StateValidationError(f"repeated target in {targets}")
     if any(q < 0 or q >= n for q in targets):
@@ -205,13 +204,8 @@ def _apply(state: State, u: np.ndarray, targets) -> State:
         raise StateValidationError(
             f"operator dimension {u.shape[0]} does not fit {len(targets)} targets"
         )
-    if isinstance(state, StateVector):
-        out = _contract(state.amplitudes.reshape([2] * n), u, targets, n)
-        return StateVector(out.reshape(-1), state.layout)
-    mat = state.matrix
-    for _ in range(2):  # U on the rows, columns as batch; then on the adjoint's rows
-        mat = _contract(mat.reshape([2] * n + [-1]), u, targets, n).reshape(2**n, -1).conj().T
-    return DensityOperator(mat, state.layout)
+    out = _contract(state.amplitudes.reshape([2] * n), u, targets, n)
+    return StateVector(out.reshape(-1), state.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -237,26 +231,18 @@ def _split(state: StateVector, keep: tuple[int, ...]) -> np.ndarray:
     return psi.transpose(keep_axes + rest_axes).reshape(2 ** len(keep), -1)
 
 
-def partial_trace(state: State, keep) -> DensityOperator:
+def partial_trace(state: StateVector, keep) -> DensityOperator:
     """Reduced density operator on ``keep`` (qubit positions, any order).
 
     The surviving qubits are re-indexed in ascending physical order and keep
     their role names.
     """
-    n = state.num_qubits
-    keep = _qubit_set(keep, n, "keep")
+    keep = _qubit_set(keep, _pure(state, "partial_trace").num_qubits, "keep")
     if not keep:
         raise StateValidationError("keep set must be non-empty")
     check_register_size(len(keep), matrix=True)
-    if isinstance(state, StateVector):
-        mat = _split(state, keep)
-        reduced = mat @ mat.conj().T
-    else:  # a traced qubit's column axis takes its row axis's label: a trace
-        labels = [a if a < n or 2 * n - 1 - a in keep else a - n for a in range(2 * n)]
-        rows = [n - 1 - q for q in reversed(keep)]
-        out = np.einsum(state.matrix.reshape([2] * (2 * n)), labels, rows + [n + r for r in rows])
-        reduced = out.reshape(2 ** len(keep), -1)
-    return DensityOperator(reduced, state.layout.restricted_to(keep))
+    mat = _split(state, keep)
+    return DensityOperator(mat @ mat.conj().T, state.layout.restricted_to(keep))
 
 
 def reduced_trace_distance(a: StateVector, b: StateVector, traced) -> float:
@@ -267,9 +253,9 @@ def reduced_trace_distance(a: StateVector, b: StateVector, traced) -> float:
     most 2^(|traced|+1) dimensions with the same spectrum of their difference,
     so no 2^kept x 2^kept matrix is built and nothing assumes a pure reduction.
     """
-    if a.num_qubits != b.num_qubits:
+    n = _pure(a, "reduced_trace_distance").num_qubits
+    if _pure(b, "reduced_trace_distance").num_qubits != n:
         raise StateValidationError("state sizes differ")
-    n = a.num_qubits
     traced = _qubit_set(traced, n, "traced")
     keep = tuple(q for q in range(n) if q not in traced)
     if not keep:

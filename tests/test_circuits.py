@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import embed_operator, random_unitary
+from oracles import basis_state, gate_unitary
 from qclone.claims import CIRCUIT_EQUIV_ATOL
 from qclone.circuits import (
     CircuitError,
@@ -33,7 +34,7 @@ from qclone.circuits import (
 from qclone.compiler import compile_decoding, compile_encoding
 from qclone.protocol import AlphaCoefficients, Variant
 from qclone.registers import RegisterLayout, max_register_qubits
-from qclone.states import StateValidationError, StateVector, apply_unitary, basis_state
+from qclone.states import StateValidationError, StateVector, apply_unitary
 
 
 def _rz(theta: float) -> np.ndarray:
@@ -52,7 +53,7 @@ def _ry(gamma: float) -> np.ndarray:
 def test_cnot_convention_control_is_first_wire():
     # Little-endian local matrix on (control, target) = (wire0, wire1):
     # flipping happens only when the control bit (bit 0 of the index) is set.
-    u = gate_cnot(0, 1).unitary()
+    u = gate_unitary(gate_cnot(0, 1))
     perm = np.zeros((4, 4))
     perm[0, 0] = perm[2, 2] = 1.0  # control clear: untouched
     perm[3, 1] = perm[1, 3] = 1.0  # control set: target flips
@@ -61,15 +62,15 @@ def test_cnot_convention_control_is_first_wire():
 
 def test_rz_and_phase_diagonals():
     theta = 0.7
-    rz = gate_rz(0, theta).unitary()
+    rz = gate_unitary(gate_rz(0, theta))
     assert np.allclose(rz, _rz(theta), atol=1e-15)
-    ph = gate_phase(0, theta).unitary()
+    ph = gate_unitary(gate_phase(0, theta))
     assert np.allclose(ph, np.diag([1.0, cmath.exp(1j * theta)]), atol=1e-15)
 
 
 def test_controlled_u_convention():
     u = np.diag([1j, -1.0])
-    cu = gate_cu(0, 1, u).unitary()
+    cu = gate_unitary(gate_cu(0, 1, u))
     # control clear -> identity on the pair, control set -> u on wire 1
     assert np.allclose(cu, np.kron(np.eye(2), np.diag([1, 0])) + np.kron(u, np.diag([0, 1])))
 
@@ -144,7 +145,7 @@ def test_circuit_to_unitary_matches_embedded_product(rng):
             assert len(list(_fused_blocks(circuit))) > 1
         dense = np.eye(2**n, dtype=np.complex128)
         for g in circuit.gates:
-            dense = embed_operator(g.unitary(), g.targets, n) @ dense
+            dense = embed_operator(gate_unitary(g), g.targets, n) @ dense
         assert np.allclose(circuit_to_unitary(circuit), dense, rtol=0, atol=1e-12)
 
 
@@ -182,7 +183,7 @@ def test_fused_block_products_match_embedded_gate_products(rng, case):
         expect = np.eye(2**k, dtype=np.complex128)
         while gates and set(gates[0].targets) <= set(wires):
             g = gates.pop(0)
-            expect = embed_operator(g.unitary(), [local[w] for w in g.targets], k) @ expect
+            expect = embed_operator(gate_unitary(g), [local[w] for w in g.targets], k) @ expect
         assert np.abs(product - expect).max() <= 1e-14
     assert not gates
 
@@ -225,7 +226,7 @@ def test_apply_circuit_with_wire_map(rng):
         routed = apply_circuit(state, circuit, wire_map=wire_map)
         expected = state
         for g in circuit.gates:
-            expected = apply_unitary(expected, g.unitary(), [wire_map[w] for w in g.targets])
+            expected = apply_unitary(expected, gate_unitary(g), [wire_map[w] for w in g.targets])
         assert np.allclose(routed.amplitudes, expected.amplitudes, rtol=0, atol=1e-12)
 
 

@@ -515,6 +515,33 @@ def test_fuzzed_argv_exits_with_a_documented_code(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["demo", "--n", "4", "--psi=+"], 10),
+        (["audit", "--n", "5"], 12),
+        (["iterate", "--k", "2", "--psi=+"], 11),
+        (["compile", "--n", "7", "--what", "both"], 16),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else str(v),
+)
+def test_each_benchmark_argv_runs_at_exactly_its_cap(capsys, monkeypatch, tmp_path, argv, cap):
+    """The widest dense object a benchmark run holds is what its cap check counts."""
+    if argv[0] == "compile":
+        argv = [*argv, "--out", str(tmp_path)]
+    monkeypatch.setenv("QCLONE_MAX_QUBITS", str(cap))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK, err
+    for written in tmp_path.iterdir():
+        written.unlink()
+    monkeypatch.setenv("QCLONE_MAX_QUBITS", str(cap - 1))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"exceeds the cap of {cap - 1}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_register_cap_env_bad_value(capsys, monkeypatch):
     monkeypatch.setenv("QCLONE_MAX_QUBITS", "many")
     code, _, err = run_cli(capsys, "demo")

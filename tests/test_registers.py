@@ -3,6 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from oracles import basis_state
 from qclone import states
 from qclone.circuits import CircuitError, GateCircuit, circuit_to_unitary, gate_h
 from qclone.paulis import PauliString
@@ -19,7 +20,7 @@ from qclone.registers import (
     set_max_register_qubits,
     signal_role,
 )
-from qclone.states import DensityOperator, basis_state, partial_trace
+from qclone.states import DensityOperator, partial_trace
 
 
 def test_standard_layout_interleaves_pairs():

@@ -14,7 +14,6 @@ from qclone.states import (
     _apply,
     _contract,
     apply_unitary,
-    basis_state,
     dominant_eigenvector,
     fidelity_pure,
     haar_random_qubit,
@@ -28,6 +27,7 @@ from qclone.states import (
 )
 
 from conftest import embed_operator, random_unitary
+from oracles import basis_state
 
 
 def bell_vector() -> np.ndarray:
@@ -139,30 +139,29 @@ def test_apply_unitary_matches_dense_embedding(seed, num_qubits, data):
     assert np.isclose(np.linalg.norm(fast.amplitudes), 1.0, atol=1e-12)
 
 
-def random_density(rng, n: int) -> DensityOperator:
-    """Full-rank mixed state G G^dagger / tr from a Ginibre matrix."""
-    g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-    rho = g @ g.conj().T
-    return DensityOperator(rho / np.trace(rho).real, RegisterLayout.generic(n))
+def random_purification(rng, n: int) -> tuple[StateVector, np.ndarray]:
+    """A Haar-random 2n-qubit state and, by the tracing-out oracle, the
+    full-rank mixed state it purifies on its low n qubits."""
+    psi = haar_state(rng, 2 * n)
+    return psi, trace_out(np.outer(psi.amplitudes, psi.amplitudes.conj()), 2 * n, range(n))
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 5) for k in range(1, 4) if k <= n])
 def test_apply_unitary_conjugates_a_density_operator(rng, n, k):
-    """On rho the contraction is U rho U^dagger, for unsorted targets too."""
+    """Applied to a purification of rho, the contraction reduces to U rho U^dagger,
+    for unsorted targets too."""
     for _ in range(3):
-        rho = random_density(rng, n)
+        psi, rho = random_purification(rng, n)
         targets = [int(q) for q in rng.permutation(n)[:k]]
         u = random_unitary(rng, 2**k)
-        out = apply_unitary(rho, u, targets)
+        out = partial_trace(apply_unitary(psi, u, targets), range(n))
         full = embed_operator(u, targets, n)
-        assert isinstance(out, DensityOperator)
-        assert out.layout == rho.layout
-        assert np.abs(out.matrix - full @ rho.matrix @ full.conj().T).max() < 1e-14
+        assert out.layout == RegisterLayout.generic(n)
+        assert np.abs(out.matrix - full @ rho @ full.conj().T).max() < 1e-14
 
 
-def test_apply_unitary_rejects_the_same_inputs_for_either_kind_of_state(rng):
+def test_apply_unitary_rejects_bad_targets_and_operators(rng):
     pure = haar_state(rng, 3)
-    mixed = DensityOperator(np.outer(pure.amplitudes, pure.amplitudes.conj()), pure.layout)
     bad = [
         (random_unitary(rng, 4), [1, 1], "repeated target"),
         (random_unitary(rng, 4), [0, 3], "out of range"),
@@ -172,36 +171,44 @@ def test_apply_unitary_rejects_the_same_inputs_for_either_kind_of_state(rng):
         (np.diag([1.0, np.nan]), [0], "not unitary"),
     ]
     for u, targets, match in bad:
-        messages = []
-        for state in (pure, mixed):
-            with pytest.raises(StateValidationError, match=match) as err:
-                apply_unitary(state, u, targets)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
+        with pytest.raises(StateValidationError, match=match):
+            apply_unitary(pure, u, targets)
+
+
+@pytest.mark.parametrize("bad", ["density", "array"])
+def test_the_engine_refuses_anything_but_a_statevector(rng, bad):
+    """A density operator or a bare amplitude array is refused with the type it is."""
+    pure = haar_state(rng, 2)
+    state = partial_trace(pure, [0, 1]) if bad == "density" else pure.amplitudes
+    calls = {
+        "apply_unitary": lambda s: apply_unitary(s, np.eye(2), [0]),
+        "partial_trace": lambda s: partial_trace(s, [0]),
+        "reduced_trace_distance": lambda s: reduced_trace_distance(s, pure, [0]),
+    }
+    for name, call in calls.items():
+        with pytest.raises(StateValidationError) as err:
+            call(state)
+        assert str(err.value) == f"{name} takes a StateVector, not {type(state).__name__}"
+    with pytest.raises(StateValidationError, match="reduced_trace_distance takes"):
+        reduced_trace_distance(pure, state, [0])
 
 
 def test_the_private_kernel_skips_only_the_unitarity_product(rng, monkeypatch):
     """``_apply`` is for operators their owner has checked: it never reaches
     ``check_unitary``, refuses bad targets and dimensions as the public
     ``apply_unitary`` does and matches it bitwise, while the public one still
-    rejects a non-unitary for either kind of state."""
+    rejects a non-unitary."""
     pure = haar_state(rng, 3)
-    mixed = DensityOperator(np.outer(pure.amplitudes, pure.amplitudes.conj()), pure.layout)
     u = random_unitary(rng, 4)
-    public = [apply_unitary(state, u, [2, 0]) for state in (pure, mixed)]
-    for state in (pure, mixed):
-        with pytest.raises(StateValidationError, match="not unitary"):
-            apply_unitary(state, np.diag([1.0, 1.0 + 4e-6]), [1])
+    public = apply_unitary(pure, u, [2, 0])
+    with pytest.raises(StateValidationError, match="not unitary"):
+        apply_unitary(pure, np.diag([1.0, 1.0 + 4e-6]), [1])
     monkeypatch.setattr(qclone.states, "check_unitary", None)
-    for state, expected in zip((pure, mixed), public):
-        for targets, match in [([1, 1], "repeated target"), ([0, 3], "out of range"),
-                               ([0], "does not fit")]:
-            with pytest.raises(StateValidationError, match=match):
-                _apply(state, u, targets)
-        got = _apply(state, u, [2, 0])
-        assert type(got) is type(expected)
-        field = "amplitudes" if isinstance(got, StateVector) else "matrix"
-        assert np.array_equal(getattr(got, field), getattr(expected, field))
+    for targets, match in [([1, 1], "repeated target"), ([0, 3], "out of range"),
+                           ([0], "does not fit")]:
+        with pytest.raises(StateValidationError, match=match):
+            _apply(pure, u, targets)
+    assert np.array_equal(_apply(pure, u, [2, 0]).amplitudes, public.amplitudes)
     assert "_apply" not in qclone.__all__ and "apply_unitary" in qclone.__all__
 
 
@@ -288,20 +295,22 @@ def test_partial_trace_pure_and_density_paths_agree(seed, data):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_partial_trace_of_a_density_operator_matches_the_pure_path(rng, n):
-    """|psi><psi| reduces like psi on every keep set, listed in any order;
-    a mixed state reduces like the tracing-out oracle."""
+    """The tracing-out oracle on |psi><psi| reduces like psi on every keep set,
+    listed in any order; on a mixed state, like a purification of it."""
     psi = haar_state(rng, n)
-    projector = DensityOperator(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.layout)
-    mixed = random_density(rng, n)
+    projector = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    purified, mixed = random_purification(rng, n)
     for size in range(1, n + 1):
         for keep in itertools.combinations(range(n), size):
             expect = partial_trace(psi, keep)
+            assert expect.layout == psi.layout.restricted_to(keep)
+            assert np.abs(expect.matrix - trace_out(projector, n, keep)).max() < 1e-14
             for order in itertools.permutations(keep):
-                got = partial_trace(projector, order)
+                got = partial_trace(psi, order)
                 assert got.layout == expect.layout
-                assert np.abs(got.matrix - expect.matrix).max() < 1e-14
-            reduced = partial_trace(mixed, keep).matrix
-            assert np.abs(reduced - trace_out(mixed.matrix, n, keep)).max() < 1e-14
+                assert np.array_equal(got.matrix, expect.matrix)
+            reduced = partial_trace(purified, keep).matrix
+            assert np.abs(reduced - trace_out(mixed, n, keep)).max() < 1e-14
 
 
 def test_partial_trace_two_steps_equals_one(rng):

@@ -37,6 +37,7 @@ from qclone.states import (
     haar_random_qubit,
     kron_states,
     partial_trace,
+    reduced_trace_distance,
     trace_distance,
 )
 
@@ -211,11 +212,11 @@ def test_clone_of_a_clone_chains_two_decodings(rng):
 
 
 # ---------------------------------------------------------------------------
-# the key-cone walk against the full-register walk
+# the tree walk against the target-i decoders
 
 
-def full_register_walk(plan, state, clone, key_override=None):
-    """Oracle: every ancestry decoder on the whole statevector, then the clone."""
+def target_decoder_walk(plan, state, clone, key_override=None):
+    """Oracle: each signal role undone by the decoder built for its own target."""
     u_enc = encoding_unitary(2, math.pi / 4)
     alphas = AlphaCoefficients.standard(2)
     undo = (u_enc.conj().T, *(decoding_unitary(2, alphas, target=i) for i in (1, 2)))
@@ -232,7 +233,7 @@ def foreign_noises(plan, clone):
 
 
 @pytest.mark.parametrize("depth", [1, 2])
-def test_key_cone_walk_matches_the_full_register_walk(depth, rng):
+def test_tree_walk_matches_the_target_decoder_walk(depth, rng):
     psi = haar_random_qubit(rng)
     plan = plan_iterated_cloning(depth)
     state = execute_iterated_cloning(plan, psi)
@@ -243,7 +244,7 @@ def test_key_cone_walk_matches_the_full_register_walk(depth, rng):
             cases.append((state, {depth: foreign_noises(plan, clone)}))
         for register, override in cases:
             got = decrypt_clone(plan, register, clone, key_override=override).recovered
-            expect = full_register_walk(plan, register, clone, override)
+            expect = target_decoder_walk(plan, register, clone, override)
             assert np.abs(got.matrix - expect).max() < 1e-14, (clone, override)
 
 
@@ -256,7 +257,7 @@ def test_key_override_at_an_unknown_level_is_rejected(levels):
 
 
 def test_tree_decryption_reduces_the_register_once(monkeypatch):
-    """No ancestry decoder touches the full statevector again."""
+    """Every ancestry decoder acts on the whole register, which is reduced once, to the clone."""
     applied, reduced = [], []
 
     def spy(log, fn):
@@ -270,23 +271,25 @@ def test_tree_decryption_reduces_the_register_once(monkeypatch):
     monkeypatch.setattr(qclone.protocol, "partial_trace", spy(reduced, partial_trace))
     plan = plan_iterated_cloning(2)
     state = execute_iterated_cloning(plan, named_state("+"))
-    applied.clear()
     for clone in plan.clones:
+        applied.clear()
         reduced.clear()
         decrypt_clone(plan, state, clone)
-        assert len([s for s in reduced if s.num_qubits == plan.num_qubits]) == 1
-    assert applied and not any(isinstance(s, StateVector) for s in applied)
+        assert len(applied) == plan.depth
+        for s in applied + reduced:
+            assert isinstance(s, StateVector) and s.num_qubits == plan.num_qubits
+        assert len(reduced) == 1
 
 
 @pytest.mark.parametrize("depth", [1, 2])
 def test_tree_decryption_consumes_its_key(depth):
-    """The consumed keys end in the same state whatever the input was."""
+    """Everything but the clone ends in the same state whatever the input was."""
     plan = plan_iterated_cloning(depth)
     states = [execute_iterated_cloning(plan, named_state(x)) for x in ("0", "1", "+")]
     for clone in plan.clones:
-        residuals = [decrypt_clone(plan, s, clone).residual for s in states]
-        for a, b in itertools.combinations(residuals, 2):
-            assert trace_distance(a, b) < 1e-12, clone
+        posts = [decrypt_clone(plan, s, clone).post_state for s in states]
+        for a, b in itertools.combinations(posts, 2):
+            assert reduced_trace_distance(a, b, [clone]) < 1e-12, clone
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +317,9 @@ def test_grown_register_matches_kron_then_encode(depth, name, rng):
     assert np.abs(grown.amplitudes - oracle.amplitudes).max() < 1e-15
 
 
-def ancestry_cone(plan, clone, fresh_key_level=None):
-    """The clone's key cone in plan order, as positions in its ancestry register.
+def key_cones(plan, clone, fresh_key_level=None):
+    """The clone's key cone in plan order, as positions in the tree register with
+    a fresh pair appended and in the clone's ancestry register.
 
     That register grows root first: each step's four new qubits take the next
     four positions in plan order, and a fresh pair the two after the leaf step.
@@ -327,16 +331,19 @@ def ancestry_cone(plan, clone, fresh_key_level=None):
     fresh = (plan.num_qubits, plan.num_qubits + 1)
     local.update(zip(fresh, (4 * plan.depth + 1, 4 * plan.depth + 2)))
     keys = [fresh if step.level == fresh_key_level else step.noises for step, _ in chain]
-    return [local[q] for q in sorted({clone}.union(*keys))]
+    cone = sorted({clone}.union(*keys))
+    return cone, [local[q] for q in cone]
 
 
-def assert_same_outcome(got, expect, cone, label):
-    """``got`` decrypts an ancestry register, ``expect`` the key cone ``cone`` of it."""
+def assert_same_outcome(got, expect, cones, label):
+    """``got`` decrypts an ancestry register and ``expect`` the tree register;
+    ``cones`` is the key cone in each, and the two agree on it."""
     assert np.abs(got.recovered.matrix - expect.recovered.matrix).max() < 1e-14, label
-    assert cone == sorted(cone), label
-    reduced = partial_trace(got.post_state, cone)
-    assert np.abs(reduced.matrix - expect.post_state.matrix).max() < 1e-14, label
-    assert cone.index(got.carrier) == expect.carrier, label
+    cone, local = cones
+    assert local == sorted(local), label
+    expected = partial_trace(expect.post_state, cone).matrix
+    assert np.abs(partial_trace(got.post_state, local).matrix - expected).max() < 1e-14, label
+    assert local.index(got.carrier) == cone.index(expect.carrier), label
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -348,7 +355,7 @@ def test_ancestry_register_matches_the_full_register_oracle(depth, name, rng):
     outcomes = decrypt_clones_from_input(plan, psi, plan.clones, psi)
     for clone, got in zip(plan.clones, outcomes, strict=True):
         expect = decrypt_clone(plan, state, clone, psi)
-        assert_same_outcome(got, expect, ancestry_cone(plan, clone), clone)
+        assert_same_outcome(got, expect, key_cones(plan, clone), clone)
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -360,7 +367,7 @@ def test_fresh_pair_on_the_cone_matches_the_appended_register(depth, rng):
         outcomes = decrypt_clones_from_input(plan, psi, plan.clones, psi, fresh_key_level=level)
         for clone, got in zip(plan.clones, outcomes, strict=True):
             expect = decrypt_clone(plan, enlarged, clone, psi, key_override={level: fresh})
-            assert_same_outcome(got, expect, ancestry_cone(plan, clone, level), (clone, level))
+            assert_same_outcome(got, expect, key_cones(plan, clone, level), (clone, level))
 
 
 @pytest.mark.parametrize("depth", [1, 2])
