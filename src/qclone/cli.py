@@ -221,6 +221,8 @@ def _dev_from_mixed(rho) -> float:
 def cmd_demo(args) -> int:
     config = ProtocolConfig(n=args.n, t=args.t, variant=_VARIANTS[args.variant])
     psi, psi_desc = parse_psi(args.psi, args.seed)
+    if args.target is not None and not 1 <= args.target <= config.n:
+        raise CliInputError(f"target {args.target} outside 1..{config.n}")
     layout = config.layout()
     state = encode(prepare_initial(config, psi), config)
 
@@ -230,8 +232,6 @@ def cmd_demo(args) -> int:
     }
     data_dev = _dev_from_mixed(partial_trace(state, [layout.data]))
 
-    if args.target is not None and not 1 <= args.target <= config.n:
-        raise CliInputError(f"target {args.target} outside 1..{config.n}")
     targets = [args.target] if args.target else list(range(1, config.n + 1))
 
     decryptions = []

@@ -325,8 +325,11 @@ class DecryptionOutcome:
     def residual(self) -> DensityOperator:
         """Dense reduced state on every qubit but the carrier, built on each read.
 
-        Key consumption is checked without it by ``reduced_trace_distance``
-        on the post states; this is the dense oracle for that check.
+        For ``post_state`` of w qubits it is a (w-1)-qubit matrix, refused with
+        ``RegisterOverflowError`` when 2(w-1) exceeds the cap, as for
+        :func:`decrypt_clone` outcomes at depth >= 2.  Key consumption is checked
+        without it, at any width, by ``reduced_trace_distance(a.post_state,
+        b.post_state, [a.carrier])``; this is the dense oracle for that check.
         """
         others = [q for q in range(self.post_state.num_qubits) if q != self.carrier]
         return partial_trace(self.post_state, others)
@@ -444,13 +447,12 @@ class IteratedCloningPlan:
     """Breadth-first tree of n=2 encodings producing 3^depth clones."""
 
     depth: int
-    layout: RegisterLayout
     steps: tuple[CloningStep, ...]
     clones: tuple[int, ...]
 
     @property
     def num_qubits(self) -> int:
-        return self.layout.num_qubits
+        return 1 + 4 * len(self.steps)
 
     def ancestry(self, clone: int) -> tuple[tuple[CloningStep, int], ...]:
         """(step, role) pairs from the leaf level up; role 0 means the data
@@ -500,10 +502,7 @@ def plan_iterated_cloning(depth: int) -> IteratedCloningPlan:
             )
             produced.extend([data, sa, sb])
         current = produced
-    layout = RegisterLayout.generic(next_free)
-    return IteratedCloningPlan(
-        depth=depth, layout=layout, steps=tuple(steps), clones=tuple(current)
-    )
+    return IteratedCloningPlan(depth=depth, steps=tuple(steps), clones=tuple(current))
 
 
 @functools.cache
@@ -556,10 +555,9 @@ def append_fresh_pair(state: StateVector) -> tuple[StateVector, tuple[int, int]]
     Returns the enlarged state and the new pair's positions — key material
     that is deliberately wrong for every clone.
     """
-    n = state.num_qubits
-    roles = dict(state.layout.roles)
-    free = (f"q{i}" for i in itertools.count(n) if f"q{i}" not in roles)
-    layout = RegisterLayout.from_map(roles | {next(free): n, next(free): n + 1})
+    n, names = state.num_qubits, state.layout.names
+    free = (f"q{i}" for i in itertools.count(n) if f"q{i}" not in names)
+    layout = RegisterLayout((*names, next(free), next(free)))
     return kron_states([state.amplitudes, BELL_PHI], layout), (n, n + 1)
 
 

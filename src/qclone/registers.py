@@ -2,7 +2,8 @@
 
 A register is a row of qubits addressed by little-endian position (qubit 0 is
 the least significant bit of a basis-state index).  Protocol code never talks
-about raw positions directly; it assigns each position a *role*:
+about raw positions directly; its layout is the tuple of *role* names, one
+per position:
 
 ``A``            the data qubit carrying the state to be cloned
 ``REF``          an optional purifying reference entangled with ``A``
@@ -17,7 +18,7 @@ be raised or lowered at runtime (the command line reads the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_MAX_QUBITS = 24
 
@@ -83,34 +84,20 @@ def noise_role(i: int) -> str:
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Bijective assignment of role names to qubit positions.
+    """Role names of a register's qubits: ``names[q]`` is the role of qubit q.
 
-    ``roles`` is stored as a sorted tuple of ``(role, position)`` pairs so the
-    layout is hashable; use :meth:`from_map` to build one from a dict.
+    A layout is valid when its names are distinct; every lookup derives from them.
     """
 
-    num_qubits: int
-    roles: tuple[tuple[str, int], ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        index = dict(self.roles)
-        positions = [pos for _, pos in self.roles]
-        if len(index) != len(self.roles):
+        index = {role: q for q, role in enumerate(self.names)}
+        if len(index) != len(self.names):
             raise RegisterError("duplicate role name in layout")
-        if sorted(positions) != list(range(self.num_qubits)):
-            raise RegisterError(
-                f"roles must cover positions 0..{self.num_qubits - 1} exactly,"
-                f" got {sorted(positions)}"
-            )
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_index", index)  # derived, so not a field
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def from_map(cls, mapping: dict[str, int]) -> "RegisterLayout":
-        items = tuple(sorted(mapping.items(), key=lambda kv: kv[1]))
-        return cls(num_qubits=len(items), roles=items)
 
     @classmethod
     def standard(cls, n: int, with_reference: bool = False) -> "RegisterLayout":
@@ -121,21 +108,20 @@ class RegisterLayout:
         """
         if n < 1:
             raise RegisterError(f"need at least one signal/noise pair, got n={n}")
-        offset = 1 if with_reference else 0
-        mapping = {ROLE_DATA: offset}
-        if with_reference:
-            mapping[ROLE_REFERENCE] = 0
-        for i in range(1, n + 1):
-            mapping[signal_role(i)] = offset + 2 * i - 1
-            mapping[noise_role(i)] = offset + 2 * i
-        return cls.from_map(mapping)
+        head = (ROLE_REFERENCE, ROLE_DATA) if with_reference else (ROLE_DATA,)
+        pairs = (role(i) for i in range(1, n + 1) for role in (signal_role, noise_role))
+        return cls((*head, *pairs))
 
     @classmethod
     def generic(cls, num_qubits: int) -> "RegisterLayout":
         """Anonymous layout ``q0 .. q{m-1}`` for states outside the protocol."""
-        return cls.from_map({f"q{i}": i for i in range(num_qubits)})
+        return cls(tuple(f"q{i}" for i in range(num_qubits)))
 
     # -- lookups --------------------------------------------------------
+
+    @property
+    def num_qubits(self) -> int:
+        return len(self.names)
 
     def index(self, role: str) -> int:
         try:
@@ -144,10 +130,9 @@ class RegisterLayout:
             raise RegisterError(f"layout has no role {role!r}") from None
 
     def role_at(self, position: int) -> str:
-        for role, pos in self.roles:
-            if pos == position:
-                return role
-        raise RegisterError(f"no role at position {position}")
+        if not 0 <= position < len(self.names):
+            raise RegisterError(f"no role at position {position}")
+        return self.names[position]
 
     @property
     def data(self) -> int:
@@ -162,8 +147,6 @@ class RegisterLayout:
     def indices(self, roles) -> tuple[int, ...]:
         return tuple(self.index(r) for r in roles)
 
-    def restricted_to(self, keep: tuple[int, ...]) -> "RegisterLayout":
-        """Layout for the sub-register ``keep`` (ascending), roles preserved."""
-        kept = sorted(keep)
-        mapping = {self.role_at(pos): new for new, pos in enumerate(kept)}
-        return RegisterLayout.from_map(mapping)
+    def restricted_to(self, keep) -> "RegisterLayout":
+        """Layout of the sub-register ``keep`` (any order), in ascending position."""
+        return RegisterLayout(tuple(map(self.role_at, sorted(keep))))

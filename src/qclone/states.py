@@ -57,7 +57,7 @@ class StateVector:
                 f"amplitude vector of shape {arr.shape} does not match a {n}-qubit layout"
             )
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > STATE_ATOL:
+        if not abs(norm * norm - 1.0) <= STATE_ATOL:  # <psi|psi> is the trace of every reduction
             raise StateValidationError(f"state norm {norm} deviates from 1")
 
     @property

@@ -132,10 +132,14 @@ def test_demo_bad_psi_is_an_input_error(capsys):
     assert "error:" in err
 
 
-def test_demo_target_out_of_range(capsys):
-    code, _, err = run_cli(capsys, "demo", "--n", "2", "--target", "5")
-    assert code == EXIT_INPUT_ERROR
-    assert "target" in err
+def test_demo_target_out_of_range(capsys, monkeypatch):
+    """An out-of-range target is refused before anything is encoded."""
+    encoded = []
+    monkeypatch.setattr(cli, "encode", lambda *a: encoded.append(a))
+    for target in ("0", "3", "5"):
+        code, out, err = run_cli(capsys, "demo", "--n", "2", "--target", target, "--psi=+")
+        assert (code, out, encoded) == (EXIT_INPUT_ERROR, "", [])
+        assert err == f"error: target {target} outside 1..2\n"
 
 
 def test_demo_out_into_missing_directory(capsys, tmp_path):

@@ -40,12 +40,32 @@ def test_standard_layout_with_reference_prepends_one_qubit():
     assert layout.noise(2) == 5
 
 
+@pytest.mark.parametrize(
+    "n, with_reference, names",
+    [
+        (1, False, ("A", "S1", "N1")),
+        (2, False, ("A", "S1", "N1", "S2", "N2")),
+        (3, False, ("A", "S1", "N1", "S2", "N2", "S3", "N3")),
+        (1, True, ("REF", "A", "S1", "N1")),
+        (2, True, ("REF", "A", "S1", "N1", "S2", "N2")),
+        (3, True, ("REF", "A", "S1", "N1", "S2", "N2", "S3", "N3")),
+    ],
+)
+def test_standard_layout_names(n, with_reference, names):
+    layout = RegisterLayout.standard(n, with_reference)
+    assert layout.names == names
+    assert layout.num_qubits == len(names)
+
+
 def test_role_lookup_round_trip():
     layout = RegisterLayout.standard(2)
     for pos in range(layout.num_qubits):
         assert layout.index(layout.role_at(pos)) == pos
     with pytest.raises(RegisterError):
         layout.index("S3")
+    for pos in (-1, layout.num_qubits):  # a bare tuple index would accept -1
+        with pytest.raises(RegisterError, match=f"no role at position {pos}"):
+            layout.role_at(pos)
 
 
 def test_indices_preserves_requested_order():
@@ -59,6 +79,7 @@ def test_restricted_to_reindexes_but_keeps_roles():
     assert sub.num_qubits == 2
     assert sub.index(signal_role(2)) == 0
     assert sub.index(noise_role(2)) == 1
+    assert layout.restricted_to((5, 0, 2)) == RegisterLayout(("A", "N1", "S3"))
 
 
 def test_generic_layout_names_wires():
@@ -66,9 +87,11 @@ def test_generic_layout_names_wires():
     assert [layout.role_at(i) for i in range(3)] == ["q0", "q1", "q2"]
 
 
-def test_duplicate_positions_rejected():
+def test_duplicate_names_rejected():
+    with pytest.raises(RegisterError, match="duplicate role name"):
+        RegisterLayout(("A", "A"))
     with pytest.raises(RegisterError):
-        RegisterLayout.from_map({"A": 0, "S1": 0})
+        RegisterLayout.standard(3).restricted_to((1, 1))
 
 
 def test_register_cap_is_enforced_and_adjustable():

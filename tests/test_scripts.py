@@ -2,6 +2,7 @@
 targets still name functions of the package."""
 
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -65,3 +66,22 @@ def test_every_trace_target_resolves(monkeypatch):
         if not callable(owner):
             missing.append(f"{target.module}.{target.attr}")
     assert tracing.TARGETS and not missing, missing
+
+
+def test_report_digests_hash_written_files_by_name_and_set_the_cap(monkeypatch):
+    """``report_digests.py`` covers 75 distinct argvs; a digest changes with the
+    name of a written file, and a capped run is refused under its cap only."""
+    spec = importlib.util.spec_from_file_location("_report_digests", SCRIPTS / "report_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    monkeypatch.delenv(digests.CAP, raising=False)
+    runs = digests.RUNS
+    assert len({(cap, tuple(argv)) for cap, argv in runs}) == len(runs) == 75
+    demo = ["demo", "--n", "1", "--psi=0"]
+    lines = [digests.digest_line(None, [*demo, "--out", name]) for name in ("a.json", "b.json")]
+    assert [line.split()[0] for line in lines] == ["0", "0"]
+    assert lines[0].split()[1] != lines[1].split()[1]
+    assert lines[0].endswith(" demo --n 1 --psi=0 --out a.json")
+    capped = digests.digest_line(2, demo)
+    assert capped.startswith("2 ") and capped.endswith(" QCLONE_MAX_QUBITS=2 demo --n 1 --psi=0")
+    assert digests.CAP not in os.environ

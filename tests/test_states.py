@@ -60,6 +60,17 @@ def test_statevector_rejects_bad_norm_and_shape():
         StateVector(np.array([1.0, 0.0, 0.0]), layout)
 
 
+def test_every_accepted_state_has_reductions_of_unit_trace():
+    """The norm check bounds <psi|psi>, the trace of every reduction, by the
+    tolerance the density-operator check applies to that trace."""
+    layout = RegisterLayout.generic(1)
+    for bad in ([1 + 8e-11, 0], [np.nan, 0]):
+        with pytest.raises(StateValidationError, match="state norm"):
+            StateVector(np.array(bad), layout)
+    rho = partial_trace(StateVector(np.array([1 + 4e-11, 0]), layout), [0])
+    assert abs(np.trace(rho.matrix) - 1) < 1e-10
+
+
 def test_statevector_amplitudes_are_read_only():
     state = basis_state(RegisterLayout.generic(1))
     with pytest.raises(ValueError):

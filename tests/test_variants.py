@@ -29,7 +29,7 @@ from qclone.protocol import (
     prepare_initial,
 )
 from qclone.cli import main
-from qclone.registers import RegisterOverflowError
+from qclone.registers import RegisterLayout, RegisterOverflowError
 from qclone.states import (
     StateVector,
     _apply,
@@ -299,7 +299,7 @@ def test_tree_decryption_consumes_its_key(depth):
 def kron_then_encode(plan, psi):
     """Oracle: the whole register as psi (x) Bell pairs, then every encoder on it."""
     groups = [psi.amplitudes] + [bell_pair_vector()] * ((plan.num_qubits - 1) // 2)
-    state = kron_states(groups, plan.layout)
+    state = kron_states(groups, RegisterLayout.generic(plan.num_qubits))
     u_enc = encoding_unitary(2, math.pi / 4)
     for step in plan.steps:
         state = apply_unitary(state, u_enc, [step.data, *step.signals])
@@ -313,7 +313,7 @@ def test_grown_register_matches_kron_then_encode(depth, name, rng):
     plan = plan_iterated_cloning(depth)
     grown = execute_iterated_cloning(plan, psi)
     oracle = kron_then_encode(plan, psi)
-    assert grown.layout == oracle.layout == plan.layout
+    assert grown.layout == oracle.layout == RegisterLayout.generic(plan.num_qubits)
     assert np.abs(grown.amplitudes - oracle.amplitudes).max() < 1e-15
 
 
