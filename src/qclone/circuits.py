@@ -15,8 +15,8 @@ from enum import Enum
 import numpy as np
 
 from .claims import CIRCUIT_EQUIV_ATOL
-from .registers import QcloneError, RegisterOverflowError, check_register_size
-from .states import StateVector, apply_unitary, check_unitary
+from .registers import QcloneError, check_register_size
+from .states import StateVector, _apply, _contract, check_unitary
 
 # Most wires one fused block of consecutive gates may touch.  A pass over the
 # 2^n batch moves its axes once and does 2^k multiply-adds per entry, so
@@ -137,7 +137,7 @@ class GateCircuit:
 
 
 def _fused_blocks(circuit: GateCircuit):
-    """Yield ``(wires, product)`` for each maximal run of consecutive gates
+    """Yield ``(product, wires)`` for each maximal run of consecutive gates
     that together touch at most ``_FUSE_QUBITS`` wires, in circuit order.
 
     Gates are only grouped, never reordered, so applying the blocks in turn
@@ -169,7 +169,7 @@ def _fused_blocks(circuit: GateCircuit):
             lo = rows[tuple(index)]
             index[axes[-1]] = 1
             _apply_to_halves(g, lo, rows[tuple(index)])
-        yield tuple(wires), u
+        yield u, tuple(wires)
 
 
 def _apply_to_halves(g: Gate, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -192,7 +192,8 @@ def _apply_to_halves(g: Gate, lo: np.ndarray, hi: np.ndarray) -> None:
 
 
 def apply_circuit(state: StateVector, circuit: GateCircuit, wire_map=None) -> StateVector:
-    """Run the circuit on a register; ``wire_map[w]`` is the physical qubit of wire w."""
+    """Run the circuit on a register; ``wire_map[w]`` is the physical qubit of wire w.
+    Each fused block is checked unitary, then all are swept in one pass."""
     if wire_map is None:
         wire_map = list(range(circuit.num_qubits))
     wire_map = [int(q) for q in wire_map]
@@ -200,30 +201,19 @@ def apply_circuit(state: StateVector, circuit: GateCircuit, wire_map=None) -> St
         raise CircuitError("wire map length must match circuit width")
     if len(set(wire_map)) != len(wire_map):
         raise CircuitError(f"wire map {wire_map} repeats a qubit")
-    for wires, u in _fused_blocks(circuit):
-        state = apply_unitary(state, u, [wire_map[w] for w in wires])
-    return state
+    return _apply(state, [(check_unitary(u), [wire_map[w] for w in wires])
+                          for u, wires in _fused_blocks(circuit)])
 
 
 def circuit_to_unitary(circuit: GateCircuit) -> np.ndarray:
-    """Dense product of all gate embeddings, earliest gate rightmost."""
+    """Dense product of all gate embeddings, earliest gate rightmost: the fused
+    blocks swept over the identity's columns as a batch of statevectors."""
     n = circuit.num_qubits
-    try:
-        check_register_size(n, matrix=True)
-    except RegisterOverflowError as exc:
-        raise CircuitError(str(exc)) from None
+    check_register_size(n, matrix=True)
     dim = 2**n
-    # Columns are a batch of statevectors.  Each block leaves its target axes in
-    # front; the axes go back in order once, at the end.
-    u = np.eye(dim, dtype=np.complex128).reshape([2] * n + [dim])
-    axes = list(range(n + 1))  # axis i of u was axis axes[i] of the identity
-    for wires, block in _fused_blocks(circuit):
-        lead = [n - 1 - w for w in reversed(wires)]  # qubit q is axis n-1-q, msb first
-        u = np.moveaxis(u, [axes.index(a) for a in lead], range(len(lead)))
-        axes, shape = lead + [a for a in axes if a not in lead], u.shape
-        u = u.reshape(len(block), -1)  # a copy unless the lead axes were in front
-        u = (block @ u).reshape(shape)
-    return u.transpose(np.argsort(axes)).reshape(dim, dim)
+    return _contract(  # the identity is passed unnamed, so the sweep can release it
+        np.eye(dim, dtype=np.complex128).reshape([2] * n + [dim]), _fused_blocks(circuit), n
+    ).reshape(dim, dim)
 
 
 @dataclass(frozen=True)

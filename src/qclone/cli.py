@@ -223,6 +223,7 @@ def cmd_demo(args) -> int:
     psi, psi_desc = parse_psi(args.psi, args.seed)
     if args.target is not None and not 1 <= args.target <= config.n:
         raise CliInputError(f"target {args.target} outside 1..{config.n}")
+    AlphaCoefficients.for_angle(config.n, config.t, config.variant)  # refuses a t before encoding
     layout = config.layout()
     state = encode(prepare_initial(config, psi), config)
 

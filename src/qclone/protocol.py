@@ -303,7 +303,7 @@ def encode(state: StateVector, config: ProtocolConfig) -> StateVector:
     """Apply the encoder to the (A, S_1..S_n) block of a prepared register."""
     layout = state.layout
     targets = [layout.data] + [layout.signal(i) for i in range(1, config.n + 1)]
-    return _apply(state, config.encoder, targets)
+    return _apply(state, [(config.encoder, targets)])
 
 
 @dataclass(frozen=True)
@@ -390,15 +390,15 @@ def decrypt_with_substitution(
     if config.n == 1:
         warnings = ("n=1: the clone is recoverable but was never fully encrypted",)
     return _finish_outcome(
-        _apply(state, u, physical), layout.signal(target), reference, warnings
+        _apply(state, [(u, physical)]), layout.signal(target), reference, warnings
     )
 
 
 def _unencode(state: StateVector, config: ProtocolConfig, partner, reference) -> DecryptionOutcome:
     """Apply the encoder's adjoint to [A] + partner(1..n) and read out A."""
     layout = state.layout
-    targets = [layout.data] + [partner(j) for j in range(1, config.n + 1)]
-    return _finish_outcome(_apply(state, config.encoder_adjoint, targets), layout.data, reference)
+    undo = (config.encoder_adjoint, [layout.data] + [partner(j) for j in range(1, config.n + 1)])
+    return _finish_outcome(_apply(state, [undo]), layout.data, reference)
 
 
 def decrypt_from_A(
@@ -515,12 +515,11 @@ def _tree_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return config.encoder, config.encoder_adjoint, decoder
 
 
-def _undo(state: StateVector, role: int, carrier: int, pair) -> StateVector:
-    """Undo a tree step at ``carrier`` with key ``pair``: role 0 (the data slot) by the
-    encoder's adjoint, role i by the target-1 decoder with key i first."""
+def _undo(role: int, carrier: int, pair) -> tuple[np.ndarray, list[int]]:
+    """The (operator, wires) undoing a tree step at ``carrier`` with key ``pair``: role 0
+    (the data slot) the encoder's adjoint, role i the target-1 decoder with key i first."""
     _, adjoint, decoder = _tree_operators()
-    wires = [carrier, *(pair[::-1] if role == 2 else pair)]
-    return _apply(state, decoder if role else adjoint, wires)
+    return (decoder if role else adjoint), [carrier, *(pair[::-1] if role == 2 else pair)]
 
 
 def _seed(psi: StateVector) -> StateVector:
@@ -535,7 +534,7 @@ def _grow(state: StateVector, step: CloningStep, local: dict[int, int]) -> State
     n = state.num_qubits
     local.update(zip(itertools.chain(*zip(step.signals, step.noises)), range(n, n + 4)))
     state = kron_states([state.amplitudes, BELL_PHI, BELL_PHI], RegisterLayout.generic(n + 4))
-    return _apply(state, _tree_operators()[0], [local[q] for q in (step.data, *step.signals)])
+    return _apply(state, [(_tree_operators()[0], [local[q] for q in (step.data, *step.signals)])])
 
 
 def execute_iterated_cloning(plan: IteratedCloningPlan, psi: StateVector) -> StateVector:
@@ -587,9 +586,9 @@ def decrypt_clone(
         if not isinstance(pair, (tuple, list)) or not len(pair) == len(allowed & set(pair)) == 2:
             raise ProtocolError(f"key_override level {level}: {pair!r} is not two distinct"
                                 f" register qubits other than the clone {clone}")
-    for step, role in plan.ancestry(clone):
-        state = _undo(state, role, clone, key_override.get(step.level, step.noises))
-    return _finish_outcome(state, clone, reference)
+    walk = [_undo(role, clone, key_override.get(step.level, step.noises))
+            for step, role in plan.ancestry(clone)]
+    return _finish_outcome(_apply(state, walk), clone, reference)
 
 
 def decrypt_clones_from_input(
@@ -618,10 +617,9 @@ def decrypt_clones_from_input(
         del registers[shared + 1:]
         for step in path[shared:]:
             registers.append(_grow(registers[-1], step, local))
-        prev, state = path, registers[-1]
-        for step, role in chain:
-            pair = [local[q] for q in step.noises]
-            if step.level == fresh_key_level:
-                state, pair = append_fresh_pair(state)
-            state = _undo(state, role, local[clone], pair)
-        yield _finish_outcome(state, local[clone], reference)
+        prev, state, fresh = path, registers[-1], None
+        if fresh_key_level is not None:  # uncorrelated with every level, so appended first
+            state, fresh = append_fresh_pair(state)
+        walk = [_undo(role, local[clone], fresh if step.level == fresh_key_level
+                      else [local[q] for q in step.noises]) for step, role in chain]
+        yield _finish_outcome(_apply(state, walk), local[clone], reference)

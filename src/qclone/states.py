@@ -7,7 +7,8 @@ read it, but nothing applies a unitary to it or reduces it further.
 Everything is little-endian: qubit ``q`` is bit ``q`` of the basis-state
 index, so ``|q1 q0> = |10>`` is index 2.  Unitaries handed to
 :func:`apply_unitary` follow the same convention internally — bit ``m`` of the
-operator's row/column index belongs to ``targets[m]``.
+operator's row/column index belongs to ``targets[m]``; every sequence of them, on
+a statevector or on a batch of columns, runs through the one sweep :func:`_contract`.
 
 States and operators are immutable; every operation returns a fresh object.
 Amplitude arrays are marked read-only on construction so accidental in-place
@@ -171,40 +172,43 @@ def check_unitary(u) -> np.ndarray:
     return u
 
 
-def _contract(tensor: np.ndarray, u: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
-    """Contract a k-qubit operator into the first n qubit axes of ``tensor``.
+def _contract(tensor: np.ndarray, ops, n: int) -> np.ndarray:
+    """Contract each ``(u, targets)`` of ``ops`` in turn into the first n qubit axes
+    of ``tensor``, [qubit n-1, ..., qubit 0, *batch]; the batch axes stay last.
 
-    ``tensor`` holds axes [qubit n-1, ..., qubit 0, *batch]; any trailing batch
-    axes ride along untouched.  One transpose moves the target axes to the front,
-    most significant first, for one matrix product with u; its inverse undoes it.
+    Each product leaves its target axes in front, most significant first, so an op
+    costs one transpose and, as every qubit axis has length 2, the shape holds; the
+    axes go back in order once, at the end.
     """
-    front = [n - 1 - q for q in reversed(targets)]
-    order = front + [a for a in range(tensor.ndim) if a not in front]
-    inverse = sorted(range(len(order)), key=order.__getitem__)
-    moved = tensor.transpose(order)
-    out = u @ moved.reshape(2 ** len(targets), -1)
-    return out.reshape(moved.shape).transpose(inverse)
+    axes, shape = list(range(tensor.ndim)), tensor.shape  # axis i is input axis axes[i]
+    for u, targets in ops:
+        front = [axes.index(n - 1 - q) for q in reversed(targets)]  # where the targets are now
+        order = front + [i for i in range(len(axes)) if i not in front]
+        axes, tensor = [axes[i] for i in order], tensor.transpose(order).reshape(len(u), -1)
+        tensor = (u @ tensor).reshape(shape)  # the old tensor is no longer held here
+    return tensor.transpose(sorted(range(len(axes)), key=axes.__getitem__))
 
 
 def apply_unitary(state: StateVector, u, targets) -> StateVector:
     """Apply a k-qubit unitary to ``targets`` (ordered, little-endian in u)."""
-    return _apply(state, check_unitary(u), targets)
+    return _apply(state, [(check_unitary(u), targets)])
 
 
-def _apply(state: StateVector, u: np.ndarray, targets) -> StateVector:
-    """:func:`apply_unitary` for an operator its owner has already checked:
-    the state, the targets and the dimension are checked here, unitarity is not."""
+def _apply(state: StateVector, ops) -> StateVector:
+    """Sweep ``ops``, ``(u, targets)`` with u checked unitary by its owner, over the state in
+    one :func:`_contract`; the state and every target and dimension are checked first."""
     n = _pure(state, "apply_unitary").num_qubits
-    targets = tuple(int(q) for q in targets)
-    if len(set(targets)) != len(targets):
-        raise StateValidationError(f"repeated target in {targets}")
-    if any(q < 0 or q >= n for q in targets):
-        raise StateValidationError(f"targets {targets} out of range for {n} qubits")
-    if u.shape[0] != 2 ** len(targets):
-        raise StateValidationError(
-            f"operator dimension {u.shape[0]} does not fit {len(targets)} targets"
-        )
-    out = _contract(state.amplitudes.reshape([2] * n), u, targets, n)
+    ops = [(u, tuple(map(int, targets))) for u, targets in ops]
+    for u, targets in ops:
+        if len(set(targets)) != len(targets):
+            raise StateValidationError(f"repeated target in {targets}")
+        if any(q < 0 or q >= n for q in targets):
+            raise StateValidationError(f"targets {targets} out of range for {n} qubits")
+        if u.shape[0] != 2 ** len(targets):
+            raise StateValidationError(
+                f"operator dimension {u.shape[0]} does not fit {len(targets)} targets"
+            )
+    out = _contract(state.amplitudes.reshape([2] * n), ops, n)
     return StateVector(out.reshape(-1), state.layout)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qclone.circuits
 from conftest import embed_operator, random_unitary
 from oracles import basis_state, gate_unitary
 from qclone.claims import CIRCUIT_EQUIV_ATOL
@@ -33,7 +34,7 @@ from qclone.circuits import (
 )
 from qclone.compiler import compile_decoding, compile_encoding
 from qclone.protocol import AlphaCoefficients, Variant
-from qclone.registers import RegisterLayout, max_register_qubits
+from qclone.registers import RegisterLayout, RegisterOverflowError, max_register_qubits
 from qclone.states import StateValidationError, StateVector, apply_unitary
 
 
@@ -176,7 +177,7 @@ BLOCK_CASES = {
 def test_fused_block_products_match_embedded_gate_products(rng, case):
     circuit = BLOCK_CASES[case](rng)
     gates = list(circuit.gates)
-    for wires, product in _fused_blocks(circuit):
+    for product, wires in _fused_blocks(circuit):
         # A block ends where the next gate brings a wire it lacks.
         k = len(wires)
         local = {w: m for m, w in enumerate(wires)}
@@ -198,7 +199,7 @@ def test_empty_circuit_is_the_identity(rng):
 
 def test_reconstruction_cap():
     wide = GateCircuit((gate_h(0),), max_register_qubits() // 2 + 1)
-    with pytest.raises(CircuitError):
+    with pytest.raises(RegisterOverflowError, match="exceeds the cap of"):
         circuit_to_unitary(wide)
 
 
@@ -228,6 +229,28 @@ def test_apply_circuit_with_wire_map(rng):
         for g in circuit.gates:
             expected = apply_unitary(expected, gate_unitary(g), [wire_map[w] for w in g.targets])
         assert np.allclose(routed.amplitudes, expected.amplitudes, rtol=0, atol=1e-12)
+
+
+def test_apply_circuit_checks_each_fused_block_once(rng, monkeypatch):
+    """One unitarity check per fused block, then one sweep into one StateVector."""
+    circuit = _random_circuit(rng, 8, 80)
+    blocks = len(list(_fused_blocks(circuit)))
+    calls = {"check_unitary": [], "_apply": []}
+
+    def counted(name):
+        fn = getattr(qclone.circuits, name)
+
+        def wrapped(*args):
+            calls[name].append(args)
+            return fn(*args)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(qclone.circuits, name, counted(name))
+    apply_circuit(basis_state(RegisterLayout.generic(8)), circuit)
+    assert blocks > 1 and len(calls["check_unitary"]) == blocks
+    assert len(calls["_apply"]) == 1 and len(calls["_apply"][0][1]) == blocks
 
 
 def test_apply_circuit_rejects_short_wire_map():

@@ -142,6 +142,16 @@ def test_demo_target_out_of_range(capsys, monkeypatch):
         assert err == f"error: target {target} outside 1..2\n"
 
 
+def test_demo_refuses_an_undecryptable_angle_before_encoding(capsys, monkeypatch):
+    """A t the decoder cannot undo is refused before anything is encoded."""
+    encoded = []
+    monkeypatch.setattr(cli, "encode", lambda *a: encoded.append(a))
+    code, out, err = run_cli(capsys, "demo", "--n", "2", "--t", "0.6", "--psi=+")
+    assert (code, out, encoded) == (EXIT_INPUT_ERROR, "", [])
+    assert err == ("error: t=0.6 is not of the form pi/4 + m*pi/2; the phase decoder"
+                   " cannot undo this encoding\n")
+
+
 def test_demo_out_into_missing_directory(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "demo", "--out", str(tmp_path / "missing" / "report.json")

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import basis_state
 from qclone import states
-from qclone.circuits import CircuitError, GateCircuit, circuit_to_unitary, gate_h
+from qclone.circuits import GateCircuit, circuit_to_unitary, gate_h
 from qclone.paulis import PauliString
 from qclone.protocol import AlphaCoefficients, decoding_unitary
 from qclone.registers import (
@@ -108,33 +108,28 @@ def test_register_cap_is_enforced_and_adjustable():
         set_max_register_qubits(DEFAULT_MAX_QUBITS)
 
 
-# Each builder of a dense 2^w-square matrix, as a call to make at width w; the
-# allocation it must not reach when refused; and the error it refuses with.
+# Each builder of a dense 2^w-square matrix, as a call to make at width w, and
+# the allocation it must not reach when refused with RegisterOverflowError.
 DENSE_BUILDERS = {
     "DensityOperator": (
         lambda w: partial(DensityOperator, np.eye(2**w) / 2**w, RegisterLayout.generic(w)),
         (states, "_frozen_complex"),
-        RegisterOverflowError,
     ),
     "partial_trace": (
         lambda w: partial(partial_trace, basis_state(RegisterLayout.generic(w)), range(w)),
         (states, "_split"),
-        RegisterOverflowError,
     ),
     "PauliString.to_matrix": (
         lambda w: partial(PauliString(x_mask=1).to_matrix, w),
         (np, "arange"),
-        RegisterOverflowError,
     ),
     "decoding_unitary": (
         lambda w: partial(decoding_unitary, w - 1, AlphaCoefficients.standard(w - 1)),
         (np, "zeros"),
-        RegisterOverflowError,
     ),
     "circuit_to_unitary": (
         lambda w: partial(circuit_to_unitary, GateCircuit((gate_h(0),), w)),
         (np, "eye"),
-        CircuitError,
     ),
 }
 
@@ -152,11 +147,11 @@ def _no_allocation(*args, **kwargs):
 
 @pytest.mark.parametrize("name", DENSE_BUILDERS)
 def test_a_dense_matrix_on_w_qubits_counts_2w(name, cap_of_six, monkeypatch):
-    build, (owner, allocator), error = DENSE_BUILDERS[name]
+    build, (owner, allocator) = DENSE_BUILDERS[name]
     build(3)()  # 2w equals the cap
     refused = build(4)
     monkeypatch.setattr(owner, allocator, _no_allocation)
-    with pytest.raises(error, match=f"exceeds the cap of {cap_of_six}"):
+    with pytest.raises(RegisterOverflowError, match=f"exceeds the cap of {cap_of_six}"):
         refused()
 
 

@@ -208,18 +208,22 @@ def test_the_private_kernel_skips_only_the_unitarity_product(rng, monkeypatch):
     """``_apply`` is for operators their owner has checked: it never reaches
     ``check_unitary``, refuses bad targets and dimensions as the public
     ``apply_unitary`` does and matches it bitwise, while the public one still
-    rejects a non-unitary."""
+    rejects a non-unitary.  A bad op anywhere in a sequence, the last one too,
+    is refused before anything is swept."""
     pure = haar_state(rng, 3)
     u = random_unitary(rng, 4)
     public = apply_unitary(pure, u, [2, 0])
     with pytest.raises(StateValidationError, match="not unitary"):
         apply_unitary(pure, np.diag([1.0, 1.0 + 4e-6]), [1])
     monkeypatch.setattr(qclone.states, "check_unitary", None)
+    assert np.array_equal(_apply(pure, [(u, [2, 0])]).amplitudes, public.amplitudes)
+    monkeypatch.setattr(qclone.states, "_contract", None)
     for targets, match in [([1, 1], "repeated target"), ([0, 3], "out of range"),
                            ([0], "does not fit")]:
         with pytest.raises(StateValidationError, match=match):
-            _apply(pure, u, targets)
-    assert np.array_equal(_apply(pure, u, [2, 0]).amplitudes, public.amplitudes)
+            _apply(pure, [(u, targets)])
+        with pytest.raises(StateValidationError, match=match):
+            _apply(pure, [(u, [2, 0]), (u, [0, 1]), (u, targets)])
     assert "_apply" not in qclone.__all__ and "apply_unitary" in qclone.__all__
 
 
@@ -232,19 +236,39 @@ def _tensordot_contract(tensor, u, targets, n):
     return np.moveaxis(out, list(range(k)), qubit_axes)
 
 
-@pytest.mark.parametrize(
+CONTRACT_CASES = pytest.mark.parametrize(
     "n,batch",
     [(6, []), (4, [16]), (8, [256])],
-    ids=["statevector", "density-batch", "256-column-batch"],
+    ids=["statevector", "16-column-batch", "256-column-batch"],
 )
+
+
+@CONTRACT_CASES
 def test_contract_is_bitwise_the_tensordot_contraction(rng, n, batch):
     shape = [2] * n + batch
     tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     orders = [(0,), (n - 1,), (2, 0), (0, 3), (3, 1, 2), (n - 1, 0, 2, 1), (1, 3, 0, 5, 2)]
     for targets in [t for t in orders if max(t) < n]:
         u = random_unitary(rng, 2 ** len(targets))
-        got = _contract(tensor, u, targets, n)
+        got = _contract(tensor, [(u, targets)], n)
         assert np.array_equal(got, _tensordot_contract(tensor, u, targets, n))
+
+
+@CONTRACT_CASES
+def test_a_sequence_sweep_is_bitwise_its_single_op_sweeps(rng, n, batch):
+    """Leaving each op's target axes in front and restoring the order once at the
+    end changes nothing: 3-5 ops in one sweep equal one sweep per op, bitwise."""
+    shape = [2] * n + batch
+    for _ in range(10):
+        tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        ops = []
+        for _ in range(rng.integers(3, 6)):
+            targets = tuple(int(q) for q in rng.permutation(n)[: rng.integers(1, 4)])
+            ops.append((random_unitary(rng, 2 ** len(targets)), targets))
+        stepped = tensor
+        for op in ops:
+            stepped = _contract(stepped, [op], n)
+        assert np.array_equal(_contract(tensor, ops, n), stepped)
 
 
 def test_embed_operator_is_multiplicative(rng):

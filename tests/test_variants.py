@@ -257,12 +257,13 @@ def test_key_override_at_an_unknown_level_is_rejected(levels):
 
 
 def test_tree_decryption_reduces_the_register_once(monkeypatch):
-    """Every ancestry decoder acts on the whole register, which is reduced once, to the clone."""
+    """One sweep of every ancestry decoder acts on the whole register, which is
+    reduced once, to the clone."""
     applied, reduced = [], []
 
     def spy(log, fn):
         def wrapped(state, *args):
-            log.append(state)
+            log.append((state, *args))
             return fn(state, *args)
 
         return wrapped
@@ -275,8 +276,8 @@ def test_tree_decryption_reduces_the_register_once(monkeypatch):
         applied.clear()
         reduced.clear()
         decrypt_clone(plan, state, clone)
-        assert len(applied) == plan.depth
-        for s in applied + reduced:
+        assert len(applied) == 1 and len(applied[0][1]) == plan.depth
+        for s, _ in applied + reduced:
             assert isinstance(s, StateVector) and s.num_qubits == plan.num_qubits
         assert len(reduced) == 1
 
@@ -466,9 +467,9 @@ def test_iterate_grows_each_tree_step_once(monkeypatch, capsys):
         monkeypatch.setattr(qclone.protocol, name, counted(name))
     assert main(["iterate", "--k", "2", "--psi", "+"]) == 0
     capsys.readouterr()
-    # _apply: 4 + 2 * 2 encoders and 9 * 2 + 2 * 2 decoders;
+    # _apply: 4 + 2 * 2 encoders and one walk up per outcome;
     # partial_trace: one 1-qubit reduction per outcome.
-    assert calls == {"kron_states": 10, "_apply": 30, "partial_trace": 11}
+    assert calls == {"kron_states": 10, "_apply": 8 + 11, "partial_trace": 11}
 
 
 def test_iterate_decrypts_a_depth_three_tree(capsys):
