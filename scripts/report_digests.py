@@ -1,18 +1,29 @@
 #!/usr/bin/env python3
-"""Print one digest per report of a fixed list of argvs, to compare two checkouts.
+"""Print two digests per report of a fixed list of argvs, to compare two checkouts.
 
 Each argv runs through ``qclone.cli.main`` in process, in a fresh temporary
 working directory, so every ``--out`` is relative and a report that names its
-files reads the same in any checkout.  Each line holds the exit code, one
-sha256 over stdout, stderr and every written file (by name), and the argv;
-an argv run with the register cap set is prefixed ``QCLONE_MAX_QUBITS=<cap>``.
-Diff the outputs of two checkouts to find every argv whose output differs.
-Takes no options; the list covers every command, both variants, refused
-input and each benchmark argv at its cap and one qubit below it.
+files reads the same in any checkout.  Each line holds the exit code, two
+sha256 digests over stdout, stderr and every written file (by name), and the
+argv; an argv run with the register cap set is prefixed
+``QCLONE_MAX_QUBITS=<cap>``.  The first, floored, digest reads each output that
+parses as JSON with every float of magnitude below ``FLOOR`` set to 0 and its
+keys sorted, so noise-level residuals that move with the BLAS kernel leave it
+unchanged; the second is over the exact bytes.  Takes no options; the list
+covers every command, both variants, refused input and each benchmark argv at
+its cap and one qubit below it.
+
+``report_digests.txt`` holds the floored lines (the exact column cut out),
+and a tier-1 test compares a fresh run with it.  To regenerate it:
+
+    python scripts/report_digests.py | cut -d' ' -f1,2,4- > scripts/report_digests.txt
+
+To compare two checkouts on one host, diff their full outputs.
 """
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -23,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from qclone.cli import main  # noqa: E402
 
 CAP = "QCLONE_MAX_QUBITS"
+FLOOR = 1e-14  # below every report threshold; the largest noise-level value seen is 1.4e-15
 
 
 _EDGES = [  # each benchmark argv and the smallest cap it runs at
@@ -59,6 +71,34 @@ RUNS = [
 ]
 
 
+def _floor(obj):
+    """``obj`` with every float of magnitude below ``FLOOR`` set to 0."""
+    if isinstance(obj, float):
+        return 0.0 if abs(obj) < FLOOR else obj
+    if isinstance(obj, dict):
+        return {key: _floor(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_floor(value) for value in obj]
+    return obj
+
+
+def _floored(data: bytes) -> bytes:
+    """A JSON document floored and re-dumped with sorted keys; other bytes as they are."""
+    try:
+        doc = json.loads(data)
+    except ValueError:
+        return data
+    return json.dumps(_floor(doc), sort_keys=True).encode()
+
+
+def _sha256(parts) -> str:
+    sha = hashlib.sha256()
+    for name, data in parts:
+        sha.update(f"{name}\0{len(data)}\0".encode())
+        sha.update(data)
+    return sha.hexdigest()
+
+
 def digest_line(cap: int | None, argv: list[str]) -> str:
     """Run one argv in a fresh directory and return its digest line."""
     out, err = io.StringIO(), io.StringIO()
@@ -76,12 +116,9 @@ def digest_line(cap: int | None, argv: list[str]) -> str:
         parts = [("stdout", out.getvalue().encode()), ("stderr", err.getvalue().encode())]
         for path in sorted(p for p in Path(tmp).rglob("*") if p.is_file()):
             parts.append((path.relative_to(tmp).as_posix(), path.read_bytes()))
-    sha = hashlib.sha256()
-    for name, data in parts:
-        sha.update(f"{name}\0{len(data)}\0".encode())
-        sha.update(data)
+    floored = _sha256((name, _floored(data)) for name, data in parts)
     prefix = "" if cap is None else f"{CAP}={cap} "
-    return f"{code} {sha.hexdigest()} {prefix}{' '.join(argv)}"
+    return f"{code} {floored} {_sha256(parts)} {prefix}{' '.join(argv)}"
 
 
 if __name__ == "__main__":

@@ -129,10 +129,15 @@ def render_report(report: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+def _existing_dir(directory: str) -> str:
+    """Refuse an output directory that does not exist, before a run and at each write."""
     if not os.path.isdir(directory):
         raise CliInputError(f"output directory {directory} does not exist")
+    return directory
+
+
+def atomic_write(path: str, text: str) -> None:
+    directory = _existing_dir(os.path.dirname(os.path.abspath(path)))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qclone-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -235,24 +240,18 @@ def cmd_demo(args) -> int:
 
     targets = [args.target] if args.target else list(range(1, config.n + 1))
 
-    decryptions = []
-    flags: set[str] = set()
-    min_fidelity = 1.0
-    outcomes = [decrypt(state, config, target=i, reference=psi) for i in targets]
-    for i, out in zip(targets, outcomes):
-        decryptions.append(
-            {
-                "target": i,
-                "fidelity": out.fidelity,
-                "recovered_purity": purity(out.recovered),
-            }
-        )
+    decryptions, flags, first = [], set(), None  # first: the one register read again, below
+    for i in targets:
+        out = decrypt(state, config, target=i, reference=psi)
+        decryptions.append({"target": i, "fidelity": out.fidelity,
+                            "recovered_purity": purity(out.recovered)})
         flags.update(out.warnings)
-        min_fidelity = min(min_fidelity, out.fidelity)
+        first = first or out
+        del out  # so the next decrypt runs beside no register but the first
+    min_fidelity = min([1.0, *(d["fidelity"] for d in decryptions)])
 
     # Key consumption: what is left besides the decrypted clone must not
     # depend on the input.
-    first = outcomes[0]
     state_b = encode(prepare_initial(config, orthogonal_state(psi)), config)
     post_b = decrypt(state_b, config, target=targets[0]).post_state
     key_consumption = reduced_trace_distance(
@@ -526,6 +525,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise CliInputError(f"--seed must be a non-negative integer, got {args.seed}")
+        if args.out:  # compile's --out names the directory itself, every other command's a file
+            out = os.path.abspath(args.out)
+            _existing_dir(out if args.command == "compile" else os.path.dirname(out))
         return globals()[f"cmd_{args.command}"](args)  # looked up now, so it can be patched
     except (QcloneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -507,12 +507,9 @@ def plan_iterated_cloning(depth: int) -> IteratedCloningPlan:
 
 @functools.cache
 def _tree_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n=2 encoder, its adjoint and the target-1 decoder, checked and read-only.  The
-    decoder takes the exact standard phases: c_0/c_mu at the rounded pi/4 miss the last bit."""
+    """The n=2 encoder, its adjoint and the target-1 decoder of one config, kept per process."""
     config = ProtocolConfig(n=2)
-    decoder = check_unitary(decoding_unitary(2, AlphaCoefficients.standard(2)))
-    decoder.setflags(write=False)
-    return config.encoder, config.encoder_adjoint, decoder
+    return config.encoder, config.encoder_adjoint, config.decoder()
 
 
 def _undo(role: int, carrier: int, pair) -> tuple[np.ndarray, list[int]]:

@@ -129,11 +129,6 @@ class RegisterLayout:
         except KeyError:
             raise RegisterError(f"layout has no role {role!r}") from None
 
-    def role_at(self, position: int) -> str:
-        if not 0 <= position < len(self.names):
-            raise RegisterError(f"no role at position {position}")
-        return self.names[position]
-
     @property
     def data(self) -> int:
         return self.index(ROLE_DATA)
@@ -146,7 +141,3 @@ class RegisterLayout:
 
     def indices(self, roles) -> tuple[int, ...]:
         return tuple(self.index(r) for r in roles)
-
-    def restricted_to(self, keep) -> "RegisterLayout":
-        """Layout of the sub-register ``keep`` (any order), in ascending position."""
-        return RegisterLayout(tuple(map(self.role_at, sorted(keep))))

@@ -68,21 +68,18 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Mixed state of a qubit register (Hermitian, unit trace, PSD)."""
+    """Mixed state of a qubit register (Hermitian, unit trace, PSD), its 2^w-square matrix."""
 
     matrix: np.ndarray
-    layout: RegisterLayout
 
     def __post_init__(self) -> None:
-        n = self.layout.num_qubits
-        check_register_size(n, matrix=True)
+        shape = np.shape(self.matrix)  # read without a copy, so the cap refuses before one
+        dim = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
+        if dim < 1 or dim & (dim - 1):
+            raise StateValidationError(f"matrix of shape {shape} is not 2^w-square")
+        check_register_size(dim.bit_length() - 1, matrix=True)
         mat = _frozen_complex(self.matrix)
         object.__setattr__(self, "matrix", mat)
-        dim = 2**n
-        if mat.shape != (dim, dim):
-            raise StateValidationError(
-                f"matrix of shape {mat.shape} does not match a {n}-qubit layout"
-            )
         if not np.abs(mat - mat.conj().T).max() <= STATE_ATOL:
             raise StateValidationError("density operator is not Hermitian")
         tr = complex(np.trace(mat))
@@ -102,7 +99,7 @@ class DensityOperator:
 
     @property
     def num_qubits(self) -> int:
-        return self.layout.num_qubits
+        return len(self.matrix).bit_length() - 1
 
 
 def _pure(state, what: str) -> StateVector:
@@ -236,17 +233,14 @@ def _split(state: StateVector, keep: tuple[int, ...]) -> np.ndarray:
 
 
 def partial_trace(state: StateVector, keep) -> DensityOperator:
-    """Reduced density operator on ``keep`` (qubit positions, any order).
-
-    The surviving qubits are re-indexed in ascending physical order and keep
-    their role names.
-    """
+    """Reduced density operator on ``keep`` (qubit positions, any order), its
+    qubits re-indexed in ascending physical order."""
     keep = _qubit_set(keep, _pure(state, "partial_trace").num_qubits, "keep")
     if not keep:
         raise StateValidationError("keep set must be non-empty")
     check_register_size(len(keep), matrix=True)
     mat = _split(state, keep)
-    return DensityOperator(mat @ mat.conj().T, state.layout.restricted_to(keep))
+    return DensityOperator(mat @ mat.conj().T)
 
 
 def reduced_trace_distance(a: StateVector, b: StateVector, traced) -> float:
@@ -311,4 +305,4 @@ def dominant_eigenvector(rho: DensityOperator) -> tuple[float, StateVector]:
     pivot = vec[np.argmax(np.abs(vec))]
     if abs(pivot) > 0:
         vec = vec * (pivot.conjugate() / abs(pivot))
-    return float(vals[-1]), StateVector(vec, rho.layout)
+    return float(vals[-1]), StateVector(vec, RegisterLayout.generic(rho.num_qubits))

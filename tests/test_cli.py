@@ -8,6 +8,7 @@ import pkgutil
 import resource
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -167,6 +168,42 @@ def test_compile_out_into_missing_directory(capsys, tmp_path):
     assert out == ""
     assert f"output directory {missing} does not exist" in err
     assert ".tmp" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["demo", "--n", "2", "--psi=+"], ["audit"], ["iterate"], ["variants"],
+     ["sweep", "--points", "3"], ["compile", "--n", "2", "--what", "both"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_missing_out_directory_is_refused_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    """compile's --out names a directory, every other command's a file in one; a
+    missing directory is refused with the write's own line before anything is built."""
+    calls = []
+    for name in ("encode", "encryption_audit", "decrypt_clones_from_input",
+                 "sweep_coherent_information", "compile_encoding"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: calls.append(name))
+    missing = tmp_path / "missing"
+    out = missing if argv[0] == "compile" else missing / "report.json"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert (code, stdout, calls) == (EXIT_INPUT_ERROR, "", [])
+    assert err == f"error: output directory {missing} does not exist\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_demo_holds_few_copies_of_its_register(capsys):
+    """demo keeps one decrypted register, the one its key-consumption check reads:
+    at --n 7 the traced peak stays within 15 times the 2^15-amplitude register."""
+    main(["demo", "--n", "2", "--psi=+"])  # the parser and schema validator are built once
+    tracemalloc.start()
+    try:
+        code = main(["demo", "--n", "7", "--psi=+"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert peak <= 15 * 2**15 * 16
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +557,17 @@ def _fuzz_argv(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(argv=_fuzz_argv())
-def test_fuzzed_argv_exits_with_a_documented_code(capsys, tmp_path, argv):
-    if argv[0] == "compile":
-        argv.append(f"--out={tmp_path}")
+@given(argv=_fuzz_argv(), missing=st.booleans())
+def test_fuzzed_argv_exits_with_a_documented_code(capsys, tmp_path, argv, missing):
+    """--out lies in an existing or a missing directory; a missing one is refused."""
+    outdir = tmp_path / "missing" if missing else tmp_path
+    argv.append(f"--out={outdir if argv[0] == 'compile' else outdir / 'out.txt'}")
     code, _, err = run_cli(capsys, *argv)
     assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR), err
     assert "Traceback" not in err
+    if missing:
+        assert code == EXIT_INPUT_ERROR and err.count("\n") == 1, err
+        assert not outdir.exists()
 
 
 @pytest.mark.parametrize(

@@ -16,9 +16,7 @@ from qclone.registers import (
     RegisterOverflowError,
     check_register_size,
     max_register_qubits,
-    noise_role,
     set_max_register_qubits,
-    signal_role,
 )
 from qclone.states import DensityOperator, partial_trace
 
@@ -60,12 +58,9 @@ def test_standard_layout_names(n, with_reference, names):
 def test_role_lookup_round_trip():
     layout = RegisterLayout.standard(2)
     for pos in range(layout.num_qubits):
-        assert layout.index(layout.role_at(pos)) == pos
+        assert layout.index(layout.names[pos]) == pos
     with pytest.raises(RegisterError):
         layout.index("S3")
-    for pos in (-1, layout.num_qubits):  # a bare tuple index would accept -1
-        with pytest.raises(RegisterError, match=f"no role at position {pos}"):
-            layout.role_at(pos)
 
 
 def test_indices_preserves_requested_order():
@@ -73,25 +68,14 @@ def test_indices_preserves_requested_order():
     assert layout.indices(["N2", "A", "S1"]) == (4, 0, 1)
 
 
-def test_restricted_to_reindexes_but_keeps_roles():
-    layout = RegisterLayout.standard(3)
-    sub = layout.restricted_to((layout.signal(2), layout.noise(2)))
-    assert sub.num_qubits == 2
-    assert sub.index(signal_role(2)) == 0
-    assert sub.index(noise_role(2)) == 1
-    assert layout.restricted_to((5, 0, 2)) == RegisterLayout(("A", "N1", "S3"))
-
-
 def test_generic_layout_names_wires():
     layout = RegisterLayout.generic(3)
-    assert [layout.role_at(i) for i in range(3)] == ["q0", "q1", "q2"]
+    assert layout.names == ("q0", "q1", "q2")
 
 
 def test_duplicate_names_rejected():
     with pytest.raises(RegisterError, match="duplicate role name"):
         RegisterLayout(("A", "A"))
-    with pytest.raises(RegisterError):
-        RegisterLayout.standard(3).restricted_to((1, 1))
 
 
 def test_register_cap_is_enforced_and_adjustable():
@@ -112,7 +96,7 @@ def test_register_cap_is_enforced_and_adjustable():
 # the allocation it must not reach when refused with RegisterOverflowError.
 DENSE_BUILDERS = {
     "DensityOperator": (
-        lambda w: partial(DensityOperator, np.eye(2**w) / 2**w, RegisterLayout.generic(w)),
+        lambda w: partial(DensityOperator, np.eye(2**w) / 2**w),
         (states, "_frozen_complex"),
     ),
     "partial_trace": (

@@ -78,15 +78,18 @@ def test_statevector_amplitudes_are_read_only():
 
 
 def test_density_operator_validation():
-    layout = RegisterLayout.generic(1)
     with pytest.raises(StateValidationError):
-        DensityOperator(np.array([[0.5, 0.5j], [0.5j, 0.5]]), layout)  # not Hermitian
+        DensityOperator(np.array([[0.5, 0.5j], [0.5j, 0.5]]))  # not Hermitian
     with pytest.raises(StateValidationError, match="not Hermitian"):
-        DensityOperator(np.array([[0.5, 0.3 + 1e-6], [0.3, 0.5]]), layout)  # 1e-6 > STATE_ATOL
+        DensityOperator(np.array([[0.5, 0.3 + 1e-6], [0.3, 0.5]]))  # 1e-6 > STATE_ATOL
     with pytest.raises(StateValidationError):
-        DensityOperator(np.eye(2), layout)  # trace 2
+        DensityOperator(np.eye(2))  # trace 2
     with pytest.raises(StateValidationError):
-        DensityOperator(np.diag([1.5, -0.5]), layout)  # negative eigenvalue
+        DensityOperator(np.diag([1.5, -0.5]))  # negative eigenvalue
+    for shape in [(2, 4), (4,), (3, 3), (0, 0), (2, 2, 2)]:  # not 2^w-square
+        with pytest.raises(StateValidationError, match=r"is not 2\^w-square"):
+            DensityOperator(np.zeros(shape))
+    assert DensityOperator(np.eye(4) / 4).num_qubits == 2
 
 
 def test_kron_states_checks_the_width_before_allocating(monkeypatch):
@@ -167,7 +170,7 @@ def test_apply_unitary_conjugates_a_density_operator(rng, n, k):
         u = random_unitary(rng, 2**k)
         out = partial_trace(apply_unitary(psi, u, targets), range(n))
         full = embed_operator(u, targets, n)
-        assert out.layout == RegisterLayout.generic(n)
+        assert out.num_qubits == n
         assert np.abs(out.matrix - full @ rho @ full.conj().T).max() < 1e-14
 
 
@@ -338,11 +341,10 @@ def test_partial_trace_of_a_density_operator_matches_the_pure_path(rng, n):
     for size in range(1, n + 1):
         for keep in itertools.combinations(range(n), size):
             expect = partial_trace(psi, keep)
-            assert expect.layout == psi.layout.restricted_to(keep)
+            assert expect.num_qubits == size
             assert np.abs(expect.matrix - trace_out(projector, n, keep)).max() < 1e-14
             for order in itertools.permutations(keep):
                 got = partial_trace(psi, order)
-                assert got.layout == expect.layout
                 assert np.array_equal(got.matrix, expect.matrix)
             reduced = partial_trace(purified, keep).matrix
             assert np.abs(reduced - trace_out(mixed, n, keep)).max() < 1e-14
@@ -371,12 +373,11 @@ def test_partial_trace_of_product_state_is_clean():
 
 
 def test_entropy_values():
-    layout = RegisterLayout.generic(1)
-    pure = DensityOperator(np.diag([1.0, 0.0]), layout)
-    mixed = DensityOperator(np.eye(2) / 2, layout)
+    pure = DensityOperator(np.diag([1.0, 0.0]))
+    mixed = DensityOperator(np.eye(2) / 2)
     assert von_neumann_entropy(pure) == pytest.approx(0.0, abs=1e-12)
     assert von_neumann_entropy(mixed) == pytest.approx(1.0, abs=1e-12)
-    skew = DensityOperator(np.diag([0.25, 0.75]), layout)
+    skew = DensityOperator(np.diag([0.25, 0.75]))
     expect = -0.25 * np.log2(0.25) - 0.75 * np.log2(0.75)
     assert von_neumann_entropy(skew) == pytest.approx(expect, abs=1e-12)
 
@@ -384,9 +385,9 @@ def test_entropy_values():
 def test_entropy_is_additive_over_products(rng):
     p = rng.dirichlet([1, 1])
     q = rng.dirichlet([1, 1, 1, 1])
-    a = DensityOperator(np.diag(p), RegisterLayout.generic(1))
-    b = DensityOperator(np.diag(q), RegisterLayout.generic(2))
-    joint = DensityOperator(np.kron(np.diag(q), np.diag(p)), RegisterLayout.generic(3))
+    a = DensityOperator(np.diag(p))
+    b = DensityOperator(np.diag(q))
+    joint = DensityOperator(np.kron(np.diag(q), np.diag(p)))
     assert von_neumann_entropy(joint) == pytest.approx(
         von_neumann_entropy(a) + von_neumann_entropy(b), abs=1e-10
     )
@@ -403,7 +404,7 @@ def test_fidelity_and_trace_distance_extremes():
     rho_zero = partial_trace(kron_states([zero.amplitudes, [1, 0]], RegisterLayout.generic(2)), [0])
     assert fidelity_pure(rho_zero, zero) == pytest.approx(1.0)
     assert fidelity_pure(rho_zero, one) == pytest.approx(0.0, abs=1e-12)
-    rho_one = DensityOperator(np.diag([0.0, 1.0]), layout)
+    rho_one = DensityOperator(np.diag([0.0, 1.0]))
     assert trace_distance(rho_zero, rho_one) == pytest.approx(1.0)
     assert trace_distance(rho_zero, rho_zero) == pytest.approx(0.0, abs=1e-12)
 
@@ -447,14 +448,12 @@ def test_reduced_trace_distance_rejects_bad_qubit_sets(rng):
 
 def test_purity_and_dominant_eigenvector(rng):
     psi = haar_random_qubit(rng)
-    rho = DensityOperator(
-        np.outer(psi.amplitudes, psi.amplitudes.conj()), RegisterLayout.generic(1)
-    )
+    rho = DensityOperator(np.outer(psi.amplitudes, psi.amplitudes.conj()))
     assert purity(rho) == pytest.approx(1.0)
     value, vec = dominant_eigenvector(rho)
     assert value == pytest.approx(1.0)
     assert abs(np.vdot(psi.amplitudes, vec.amplitudes)) == pytest.approx(1.0)
-    mixed = DensityOperator(np.eye(2) / 2, RegisterLayout.generic(1))
+    mixed = DensityOperator(np.eye(2) / 2)
     assert purity(mixed) == pytest.approx(0.5)
 
 

@@ -226,6 +226,16 @@ def target_decoder_walk(plan, state, clone, key_override=None):
     return partial_trace(state, [clone]).matrix
 
 
+def test_the_tree_takes_its_operators_from_one_n2_config():
+    """One n = 2 decoder: the tree's is bitwise the config's, kept read-only per process."""
+    encoder, adjoint, decoder = qclone.protocol._tree_operators()
+    config = ProtocolConfig(n=2)
+    for kept, built in zip((encoder, adjoint, decoder),
+                           (config.encoder, config.encoder_adjoint, config.decoder())):
+        assert np.array_equal(kept, built) and not kept.flags.writeable
+    assert qclone.protocol._tree_operators()[2] is decoder
+
+
 def foreign_noises(plan, clone):
     """The noise pair of a deepest-level step off the clone's ancestry."""
     own = {step for step, _ in plan.ancestry(clone)}
