@@ -181,36 +181,33 @@ def _input_dependence_bound(e0: StateVector, e1: StateVector, keep) -> float:
     sum_xy a_x a_y* F_x F_y^dagger.  Two inputs differ by p D + c C + c* C^dagger,
     |p|, |c| <= 1, with D = F_0 F_0^dagger - F_1 F_1^dagger and C = F_0 F_1^dagger,
     so half its trace norm is at most sqrt(2^len(keep)) (||D||_F / 2 + ||C||_F).
-    D is the Hermitian part of (F_0 + F_1)(F_0 - F_1)^dagger: two products, not three.
+    2D = M + M^dagger for M = (F_0 + F_1)(F_0 - F_1)^dagger: two products, not
+    three, and each norm is one inner product.
     """
     f0, f1 = _split(e0, keep), _split(e1, keep)
     mixed = (f0 + f1) @ (f0 - f1).conj().T
-    diff = (mixed + mixed.conj().T) / 2
-    cross = f0 @ f1.conj().T
-    frobenius = np.linalg.norm(diff) / 2 + np.linalg.norm(cross)
-    return float(math.sqrt(f0.shape[0]) * frobenius)
+    twice_diff = (mixed + mixed.conj().T).ravel()
+    cross = (f0 @ f1.conj().T).ravel()
+    return math.sqrt(f0.shape[0]) * (
+        math.sqrt(np.vdot(twice_diff, twice_diff).real) / 4
+        + math.sqrt(np.vdot(cross, cross).real)
+    )
 
 
 def _unauthorized_sets(n: int) -> dict[str, list[str]]:
     """Complements of the authorized sets, plus the full noise register.
 
     An authorized set is one full pair plus one half of each remaining pair;
-    its complement is the data qubit together with the unused halves.
+    its complement is the data qubit together with the unused halves.  A label
+    names the half of each other pair *held by the authorized party*
+    (``S3`` keeps the noise qubit ``N3`` in the complement).
     """
+    halves = {j: ((f"S{j}", noise_role(j)), (f"N{j}", signal_role(j))) for j in range(1, n + 1)}
     sets: dict[str, list[str]] = {"noise-register": [noise_role(j) for j in range(1, n + 1)]}
     for i in range(1, n + 1):
-        others = [j for j in range(1, n + 1) if j != i]
-        for halves in product("SN", repeat=len(others)):
-            # `halves[k]` is the half of pair others[k] *held by the authorized
-            # party*; the complement gets the opposite half.
-            roles = [ROLE_DATA]
-            for j, held in zip(others, halves):
-                roles.append(noise_role(j) if held == "S" else signal_role(j))
-            label = "complement-of-pair%d+%s" % (
-                i,
-                "".join(f"{h}{j}" for j, h in zip(others, halves)) or "none",
-            )
-            sets[label] = roles
+        for held in product(*(halves[j] for j in range(1, n + 1) if j != i)):
+            label = "".join(tag for tag, _ in held) or "none"
+            sets[f"complement-of-pair{i}+{label}"] = [ROLE_DATA, *(role for _, role in held)]
     return sets
 
 

@@ -248,6 +248,7 @@ def cmd_demo(args) -> int:
         flags.update(out.warnings)
         first = first or out
         del out  # so the next decrypt runs beside no register but the first
+    del state  # nothing reads it again; the orthogonal input is encoded beside `first` only
     min_fidelity = min([1.0, *(d["fidelity"] for d in decryptions)])
 
     # Key consumption: what is left besides the decrypted clone must not

@@ -6,7 +6,7 @@ import numpy as np
 
 from qclone.circuits import Gate, GateKind
 from qclone.registers import RegisterLayout
-from qclone.states import StateVector
+from qclone.states import StateVector, _split
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -38,3 +38,14 @@ def basis_state(layout: RegisterLayout, index: int = 0) -> StateVector:
     amps = np.zeros(2**layout.num_qubits, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(amps, layout)
+
+
+def input_dependence_bound(e0: StateVector, e1: StateVector, keep) -> float:
+    """The audit's linearity bound sqrt(d) (||D||_F / 2 + ||C||_F), with D halved
+    explicitly and both norms taken by ``np.linalg.norm``."""
+    f0, f1 = _split(e0, keep), _split(e1, keep)
+    mixed = (f0 + f1) @ (f0 - f1).conj().T
+    diff = (mixed + mixed.conj().T) / 2
+    cross = f0 @ f1.conj().T
+    frobenius = np.linalg.norm(diff) / 2 + np.linalg.norm(cross)
+    return float(math.sqrt(f0.shape[0]) * frobenius)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import input_dependence_bound
 
 from qclone import analysis, cli
 from qclone.analysis import (
@@ -250,9 +251,11 @@ def test_bound_caps_the_six_probe_distance_on_every_unauthorized_set(n):
     sets = _unauthorized_sets(n)
     assert bounds.keys() == sets.keys()
     for label, roles in sets.items():
-        oracle = _six_probe_distance(encoded, layout.indices(roles))
+        keep = layout.indices(roles)
+        oracle = _six_probe_distance(encoded, keep)
         assert oracle <= bounds[label] + 1e-15, label
         assert oracle < 1e-10 and bounds[label] < 1e-10, label
+        assert abs(bounds[label] - input_dependence_bound(encoded[0], encoded[1], keep)) <= 1e-15, label
 
 
 @pytest.mark.parametrize(
@@ -267,6 +270,8 @@ def test_bound_flags_input_dependent_sets(n, roles, expected):
     keep = layout.indices(roles)
     bound = _input_dependence_bound(encoded[0], encoded[1], keep)
     assert bound == pytest.approx(expected, abs=1e-12)
+    oracle = input_dependence_bound(encoded[0], encoded[1], keep)
+    assert bound == pytest.approx(oracle, rel=1e-12, abs=0)
     assert bound > 1e-10
     assert _six_probe_distance(encoded, keep) <= bound + 1e-15
 
@@ -288,6 +293,25 @@ def test_audit_takes_no_spectrum_beyond_a_single_pair(monkeypatch):
         assert all(c.passed for c in encryption_audit(n)["checks"])
     with pytest.raises(AssertionError, match="trace_distance"):
         encryption_audit(1)  # the n=1 leak is a lower bound and needs real distances
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_audit_makes_one_bound_per_set_and_six_reductions_per_watched_block(n, monkeypatch):
+    """n * 2^(n-1) + 1 set bounds; six probe reductions for each of the n + 2
+    watched blocks (the data qubit, every signal qubit, the noise register);
+    no trace distance."""
+    calls = dict.fromkeys(["_input_dependence_bound", "partial_trace", "trace_distance"], 0)
+
+    def counting(name, real):
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
+    encryption_audit(n)
+    assert list(calls.values()) == [n * 2 ** (n - 1) + 1, 6 * (n + 2), 0]
 
 
 def test_audit_passes_at_six_pairs_through_the_cli(capsys):
