@@ -312,14 +312,22 @@ class DecryptionOutcome:
 
     ``post_state`` is the decrypted register: the whole register for every
     decryption but :func:`decrypt_clones_from_input`'s, which is a clone's
-    ancestry register.
+    ancestry register.  ``recovered`` and ``fidelity`` are read off it on first
+    use and kept; ``reference`` is the input state, if the caller knows it.
     """
 
-    recovered: DensityOperator
-    fidelity: float | None
     post_state: StateVector
     carrier: int
-    warnings: tuple[str, ...] = ()
+    reference: StateVector | None = None
+
+    @functools.cached_property
+    def recovered(self) -> DensityOperator:
+        return partial_trace(self.post_state, [self.carrier])
+
+    @functools.cached_property
+    def fidelity(self) -> float | None:
+        """<reference| recovered |reference>, or None without a reference."""
+        return None if self.reference is None else fidelity_pure(self.recovered, self.reference)
 
     @property
     def residual(self) -> DensityOperator:
@@ -333,17 +341,6 @@ class DecryptionOutcome:
         """
         others = [q for q in range(self.post_state.num_qubits) if q != self.carrier]
         return partial_trace(self.post_state, others)
-
-
-def _finish_outcome(
-    post: StateVector,
-    carrier: int,
-    reference: StateVector | None,
-    warnings: tuple[str, ...] = (),
-) -> DecryptionOutcome:
-    recovered = partial_trace(post, [carrier])
-    fidelity = None if reference is None else fidelity_pure(recovered, reference)
-    return DecryptionOutcome(recovered, fidelity, post, carrier, warnings)
 
 
 def decrypt(
@@ -386,19 +383,14 @@ def decrypt_with_substitution(
     keys = [layout.signal(j) if j in lost else layout.noise(j) for j in range(1, config.n + 1)]
     keys[0], keys[target - 1] = keys[target - 1], keys[0]  # the target's pair plays pair 1
     physical = [layout.signal(target), *keys]
-    warnings = ()
-    if config.n == 1:
-        warnings = ("n=1: the clone is recoverable but was never fully encrypted",)
-    return _finish_outcome(
-        _apply(state, [(u, physical)]), layout.signal(target), reference, warnings
-    )
+    return DecryptionOutcome(_apply(state, [(u, physical)]), layout.signal(target), reference)
 
 
 def _unencode(state: StateVector, config: ProtocolConfig, partner, reference) -> DecryptionOutcome:
     """Apply the encoder's adjoint to [A] + partner(1..n) and read out A."""
     layout = state.layout
     undo = (config.encoder_adjoint, [layout.data] + [partner(j) for j in range(1, config.n + 1)])
-    return _finish_outcome(_apply(state, [undo]), layout.data, reference)
+    return DecryptionOutcome(_apply(state, [undo]), layout.data, reference)
 
 
 def decrypt_from_A(
@@ -505,18 +497,14 @@ def plan_iterated_cloning(depth: int) -> IteratedCloningPlan:
     return IteratedCloningPlan(depth=depth, steps=tuple(steps), clones=tuple(current))
 
 
-@functools.cache
-def _tree_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n=2 encoder, its adjoint and the target-1 decoder of one config, kept per process."""
-    config = ProtocolConfig(n=2)
-    return config.encoder, config.encoder_adjoint, config.decoder()
+_TREE_CONFIG = ProtocolConfig(n=2)  # every tree step's operators, built on first use
 
 
 def _undo(role: int, carrier: int, pair) -> tuple[np.ndarray, list[int]]:
     """The (operator, wires) undoing a tree step at ``carrier`` with key ``pair``: role 0
     (the data slot) the encoder's adjoint, role i the target-1 decoder with key i first."""
-    _, adjoint, decoder = _tree_operators()
-    return (decoder if role else adjoint), [carrier, *(pair[::-1] if role == 2 else pair)]
+    u = _TREE_CONFIG.decoder() if role else _TREE_CONFIG.encoder_adjoint
+    return u, [carrier, *(pair[::-1] if role == 2 else pair)]
 
 
 def _seed(psi: StateVector) -> StateVector:
@@ -531,7 +519,7 @@ def _grow(state: StateVector, step: CloningStep, local: dict[int, int]) -> State
     n = state.num_qubits
     local.update(zip(itertools.chain(*zip(step.signals, step.noises)), range(n, n + 4)))
     state = kron_states([state.amplitudes, BELL_PHI, BELL_PHI], RegisterLayout.generic(n + 4))
-    return _apply(state, [(_tree_operators()[0], [local[q] for q in (step.data, *step.signals)])])
+    return _apply(state, [(_TREE_CONFIG.encoder, [local[q] for q in (step.data, *step.signals)])])
 
 
 def execute_iterated_cloning(plan: IteratedCloningPlan, psi: StateVector) -> StateVector:
@@ -585,7 +573,7 @@ def decrypt_clone(
                                 f" register qubits other than the clone {clone}")
     walk = [_undo(role, clone, key_override.get(step.level, step.noises))
             for step, role in plan.ancestry(clone)]
-    return _finish_outcome(_apply(state, walk), clone, reference)
+    return DecryptionOutcome(_apply(state, walk), clone, reference)
 
 
 def decrypt_clones_from_input(
@@ -619,4 +607,4 @@ def decrypt_clones_from_input(
             state, fresh = append_fresh_pair(state)
         walk = [_undo(role, local[clone], fresh if step.level == fresh_key_level
                       else [local[q] for q in step.noises]) for step, role in chain]
-        yield _finish_outcome(_apply(state, walk), local[clone], reference)
+        yield DecryptionOutcome(_apply(state, walk), local[clone], reference)

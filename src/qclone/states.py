@@ -122,8 +122,9 @@ def single_qubit(amp0: complex, amp1: complex) -> StateVector:
         norm = np.linalg.norm(vec)
     if not np.isfinite(norm):
         raise StateValidationError(f"norm of the amplitudes ({amp0}, {amp1}) overflows")
-    if norm == 0:
-        raise StateValidationError("zero amplitude pair")
+    if norm == 0:  # a non-zero pair's norm can underflow
+        raise StateValidationError(f"norm of the amplitudes ({amp0}, {amp1}) underflows"
+                                   if vec.any() else "zero amplitude pair")
     return StateVector(vec / norm, RegisterLayout.generic(1))
 
 
@@ -270,12 +271,16 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     eigs = np.linalg.eigvalsh(rho.matrix)
     if float(eigs[0]) < -EIG_NEG_TOL:
         raise StateValidationError(f"eigenvalue {eigs[0]} below tolerance")
+    return shannon_entropy(eigs)
+
+
+def shannon_entropy(probabilities) -> float:
+    """-sum p log2 p in bits, summed in order; values in the zero-clamp window add 0."""
     total = 0.0
-    for lam in eigs:
-        lam = float(lam)
-        if lam <= EIG_CLAMP:
-            continue
-        total -= lam * log2(lam)
+    for p in probabilities:
+        p = float(p)
+        if p > EIG_CLAMP:
+            total -= p * log2(p)
     return total
 
 
@@ -296,6 +301,12 @@ def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
 
 def purity(rho: DensityOperator) -> float:
     return float(np.trace(rho.matrix @ rho.matrix).real)
+
+
+def deviation_from_mixed(rho: DensityOperator) -> float:
+    """Largest entry of |rho - I/d|: 0 exactly for the maximally mixed state."""
+    dim = len(rho.matrix)
+    return float(np.abs(rho.matrix - np.eye(dim) / dim).max())
 
 
 def dominant_eigenvector(rho: DensityOperator) -> tuple[float, StateVector]:

@@ -150,15 +150,9 @@ def test_curve_does_not_depend_on_clone_count():
 
 
 def test_sweep_row_rejects_inconsistent_data():
-    with pytest.raises(AnalysisError):
-        SweepRow(
-            t=0.3,
-            I_formula=coherent_information_formula(0.3),
-            I_simulated=coherent_information_formula(0.3) + 1e-6,
-            S_joint=1.0,
-            S_marginal=1.0 + coherent_information_formula(0.3),
-            n=1,
-        )
+    """Entropies whose difference misses the closed form by 1e-6 are refused."""
+    with pytest.raises(AnalysisError, match="disagrees with the closed form"):
+        SweepRow(t=0.3, S_joint=1.0, S_marginal=1.0 + coherent_information_formula(0.3) + 1e-6, n=1)
 
 
 # ---------------------------------------------------------------------------

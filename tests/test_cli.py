@@ -493,6 +493,7 @@ def test_oversized_density_operator_is_refused_before_allocating(build, refused)
         ("sweep", "--tmax", "inf"),
         ("demo", "--psi", "nan,0"),
         ("demo", "--psi", "1e308,1e308"),
+        ("demo", "--psi", "1e-170,1e-170"),
     ],
 )
 def test_bad_numeric_input_is_one_error_line(capsys, tmp_path, argv):
@@ -643,9 +644,10 @@ def test_a_run_builds_each_protocol_operator_once(capsys, monkeypatch):
 
 
 def test_each_protocol_operator_is_checked_once_where_it_is_built(capsys, monkeypatch):
-    """The config (or the tree's operator cache) checks what it builds; applying it
-    checks nothing, so the public checker in ``states`` is never reached."""
-    protocol._tree_operators.cache_clear()
+    """The config (the tree's too) checks what it builds; applying it checks
+    nothing, so the public checker in ``states`` is never reached."""
+    tree = protocol.ProtocolConfig(n=2)
+    monkeypatch.setattr(protocol, "_TREE_CONFIG", tree)
     checked = Counter()
 
     def spy(binding, check):
@@ -657,7 +659,7 @@ def test_each_protocol_operator_is_checked_once_where_it_is_built(capsys, monkey
 
     monkeypatch.setattr(protocol, "check_unitary", spy("owner", protocol.check_unitary))
     monkeypatch.setattr(states, "check_unitary", spy("apply", states.check_unitary))
-    protocol._tree_operators()  # the n = 2 encoder, its adjoint and the tree's decoder
+    tree.encoder, tree.encoder_adjoint, tree.decoder()  # the tree's three operators
     assert checked == Counter({"owner": 3})
     for argv, owner_checks in [
         (("demo", "--n", "4"), 2),  # the encoder and the one decoder
@@ -667,6 +669,29 @@ def test_each_protocol_operator_is_checked_once_where_it_is_built(capsys, monkey
         checked.clear()
         assert run_cli(capsys, *argv)[0] == EXIT_OK
         assert checked == Counter({"owner": owner_checks}), argv
+
+
+@pytest.mark.parametrize(
+    "argv, reductions",
+    [
+        # 4 signal and 1 data marginals, 4 recovered clones; the orthogonal
+        # input's decrypted carrier is never read, so never reduced
+        (("demo", "--n", "4", "--psi=+"), 9),
+        (("iterate", "--k", "2"), 11),  # 9 clones and the 2 wrong-key probes
+        (("variants",), 12),  # one recovered qubit per fidelity check
+    ],
+)
+def test_each_report_reduces_only_what_it_reads(capsys, monkeypatch, argv, reductions):
+    calls = Counter()
+    for module in (cli, protocol, qclone.analysis):
+
+        def counted(*args, _trace=module.partial_trace):
+            calls["partial_trace"] += 1
+            return _trace(*args)
+
+        monkeypatch.setattr(module, "partial_trace", counted)
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    assert calls["partial_trace"] == reductions
 
 
 @pytest.mark.parametrize(

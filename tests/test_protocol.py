@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import embed_operator
 from qclone import protocol
+from qclone.cli import main
 from qclone.paulis import SIGMA
 from qclone.protocol import (
     AlphaCoefficients,
@@ -20,13 +22,19 @@ from qclone.protocol import (
     bell_projector,
     decoding_unitary,
     decrypt,
+    decrypt_clone,
+    decrypt_clones_from_input,
+    decrypt_from_A,
     decrypt_with_substitution,
     encode,
     encoding_unitary,
+    execute_iterated_cloning,
     expansion_coefficients,
     is_accepted_decrypt_angle,
     named_state,
+    plan_iterated_cloning,
     prepare_initial,
+    reverse_encoding_recovery,
 )
 from qclone.states import (
     STATE_ATOL,
@@ -191,13 +199,44 @@ def test_every_target_recovers_any_input_exactly(n, rng):
             assert purity(outcome.recovered) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_single_pair_decode_recovers_but_flags(rng):
+def test_single_pair_decode_recovers_but_flags(rng, capsys):
+    """The outcome recovers the input; the demo report carries both n = 1 flags."""
     config = ProtocolConfig(n=1)
     psi = haar_random_qubit(rng)
     state = encode(prepare_initial(config, psi), config)
     outcome = decrypt(state, config, reference=psi)
     assert outcome.fidelity == pytest.approx(1.0, abs=1e-12)
-    assert any("never fully encrypted" in w for w in outcome.warnings)
+    assert main(["demo", "--n", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["flags"] == [
+        "n=1: the clone is recoverable but was never fully encrypted",
+        "not fully encrypted: with a single pair the clone leaks one Bloch component"
+        " before decryption",
+    ]
+
+
+def test_every_decrypt_reads_its_result_off_the_decrypted_register(rng):
+    """Each entry point's ``recovered`` and ``fidelity`` are bitwise the carrier's
+    reduction of ``post_state`` and its fidelity, built on first read and kept."""
+    psi = haar_random_qubit(rng)
+    config = ProtocolConfig(n=2)
+    state = encode(prepare_initial(config, psi), config)
+    plan = plan_iterated_cloning(1)
+    tree = execute_iterated_cloning(plan, psi)
+    outcomes = [
+        decrypt(state, config, target=2, reference=psi),
+        decrypt_with_substitution(state, config, (2,), reference=psi),
+        decrypt_from_A(state, config, reference=psi),
+        reverse_encoding_recovery(state, config, reference=psi),
+        decrypt_clone(plan, tree, plan.clones[1], reference=psi),
+        *decrypt_clones_from_input(plan, psi, plan.clones[2:], reference=psi),
+    ]
+    for out in outcomes:
+        recovered = partial_trace(out.post_state, [out.carrier])
+        assert out.recovered.matrix.tobytes() == recovered.matrix.tobytes()
+        assert out.fidelity == fidelity_pure(recovered, psi)
+        assert out.recovered is out.recovered
+        assert out.fidelity is out.fidelity
+    assert decrypt(state, config).fidelity is None
 
 
 def test_single_pair_clone_leaks_one_axis_before_decoding():
@@ -402,8 +441,6 @@ def test_single_pair_decrypt_is_substitution_with_nothing_lost(rng):
     substituted = decrypt_with_substitution(state, config, (), reference=psi)
     assert plain.post_state.amplitudes.tobytes() == substituted.post_state.amplitudes.tobytes()
     assert plain.fidelity == substituted.fidelity
-    assert plain.warnings == substituted.warnings
-    assert any("never fully encrypted" in w for w in substituted.warnings)
 
 
 def test_encoder_and_every_decoder_are_unitary():

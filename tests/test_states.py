@@ -48,8 +48,13 @@ def test_basis_state_is_normalized_and_typed():
 def test_single_qubit_normalizes():
     state = single_qubit(3.0, 4.0j)
     assert np.allclose(np.abs(state.amplitudes), [0.6, 0.8])
-    with pytest.raises(StateValidationError):
+    with pytest.raises(StateValidationError, match="zero amplitude pair"):
         single_qubit(0.0, 0.0)
+    # a non-zero pair whose norm underflows to 0 is not called zero
+    with pytest.raises(StateValidationError, match=r"norm of the amplitudes .* underflows"):
+        single_qubit(1e-170, 1e-170)
+    with pytest.raises(StateValidationError, match=r"norm of the amplitudes .* overflows"):
+        single_qubit(1e308, 1e308)
 
 
 def test_statevector_rejects_bad_norm_and_shape():

@@ -226,14 +226,26 @@ def target_decoder_walk(plan, state, clone, key_override=None):
     return partial_trace(state, [clone]).matrix
 
 
-def test_the_tree_takes_its_operators_from_one_n2_config():
-    """One n = 2 decoder: the tree's is bitwise the config's, kept read-only per process."""
-    encoder, adjoint, decoder = qclone.protocol._tree_operators()
+def test_the_tree_takes_its_operators_from_one_n2_config(monkeypatch):
+    """Every tree step applies the operators of one n = 2 config, kept read-only there."""
     config = ProtocolConfig(n=2)
-    for kept, built in zip((encoder, adjoint, decoder),
-                           (config.encoder, config.encoder_adjoint, config.decoder())):
-        assert np.array_equal(kept, built) and not kept.flags.writeable
-    assert qclone.protocol._tree_operators()[2] is decoder
+    monkeypatch.setattr(qclone.protocol, "_TREE_CONFIG", config)
+    applied = []
+
+    def spy(state, ops):
+        applied.extend(u for u, _ in ops)
+        return _apply(state, ops)
+
+    monkeypatch.setattr(qclone.protocol, "_apply", spy)
+    plan = plan_iterated_cloning(1)
+    state = execute_iterated_cloning(plan, named_state("+"))
+    for clone in plan.clones:
+        decrypt_clone(plan, state, clone)
+    assert applied[0] is config.encoder
+    assert applied[1] is config.encoder_adjoint
+    assert all(u is config.decoder() for u in applied[2:]) and len(applied) == 4
+    for u in (config.encoder, config.encoder_adjoint, config.decoder()):
+        assert not u.flags.writeable
 
 
 def foreign_noises(plan, clone):
@@ -285,7 +297,7 @@ def test_tree_decryption_reduces_the_register_once(monkeypatch):
     for clone in plan.clones:
         applied.clear()
         reduced.clear()
-        decrypt_clone(plan, state, clone)
+        decrypt_clone(plan, state, clone).recovered
         assert len(applied) == 1 and len(applied[0][1]) == plan.depth
         for s, _ in applied + reduced:
             assert isinstance(s, StateVector) and s.num_qubits == plan.num_qubits
