@@ -5,8 +5,10 @@ significant digits, writes artifacts atomically (temp file + rename), and
 exits 0 exactly when all of its embedded checks pass: 1 when one fails, 2 on
 refused input, any ``QcloneError`` or ``OSError`` (one ``error:`` line), and
 3 on any other exception (one ``internal error:`` line, no traceback).  An
-over-cap register or dense matrix is refused before it is allocated.  JSON
-reports validate against the schema in ``qclone/data/report.schema.json``.
+over-cap register or dense matrix is refused before it is allocated.  Each JSON
+report is checked against ``qclone/data/report.schema.json`` before it is
+written, by a checker of just the keywords that schema uses (no run imports
+jsonschema); a report that breaks the schema is an internal error.
 """
 from __future__ import annotations
 
@@ -17,10 +19,9 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import fields
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .analysis import (
@@ -93,7 +94,7 @@ def _canonical(obj):
     A check drops its empty fields: a count has no threshold, a verdict no value.
     """
     if isinstance(obj, Check):
-        obj = {k: v for k, v in asdict(obj).items() if v is not None and v != ""}
+        obj = {f.name: v for f in fields(obj) if (v := getattr(obj, f.name)) is not None and v != ""}
     if isinstance(obj, dict):
         return {str(k): _canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -115,18 +116,46 @@ def report_schema() -> dict:
     return json.loads(text)
 
 
-@functools.cache
-def _report_validator():
-    """One validator for every report; the schema itself is checked once, here."""
-    schema = report_schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+# "boolean" before "number", so a bool is no number.
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "number": (int, float), "null": type(None)}
+_SCHEMA_KEYWORDS = {"$schema", "title", "type", "enum", "required", "properties",
+                    "additionalProperties", "items"}
+
+
+def _schema_error(value, schema: dict, at: str = "report") -> str | None:
+    """The first place where ``value`` breaks ``schema``, or None.  A keyword, type
+    or form that the report schema does not use raises before the value is read."""
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if (schema.keys() - _SCHEMA_KEYWORDS or set(types) - _JSON_TYPES.keys() or isinstance(
+            schema.get("items"), list) or schema.get("additionalProperties", False) is not False):
+        raise ValueError(f"the schema at {at} uses what its checker does not implement")
+    kind = next((name for name, cls in _JSON_TYPES.items() if isinstance(value, cls)), None)
+    if types and kind not in types:
+        return f"{at}: {value!r} is not of type {' or '.join(types)}"
+    if "enum" in schema and value not in schema["enum"]:
+        return f"{at}: {value!r} is not one of {schema['enum']}"
+    children = []
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        missing = [k for k in schema.get("required", []) if k not in value]
+        extra = [k for k in value if k not in properties] if "additionalProperties" in schema else []
+        if missing:
+            return f"{at}: required property {missing[0]!r} is missing"
+        if extra:
+            return f"{at}: property {extra[0]!r} is not allowed"
+        children = [(v, properties[k], f"{at}.{k}") for k, v in value.items() if k in properties]
+    elif isinstance(value, list) and "items" in schema:
+        children = [(v, schema["items"], f"{at}[{i}]") for i, v in enumerate(value)]
+    return next(filter(None, (_schema_error(*child) for child in children)), None)
 
 
 def render_report(report: dict) -> str:
     data = _canonical(report)
-    _report_validator().validate(data)
+    error = _schema_error(data, report_schema())
+    if error:
+        raise ValueError(f"report breaks its schema: {error}")
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 

@@ -80,37 +80,41 @@ class ProtocolConfig:
         if not math.isfinite(self.t):
             raise ProtocolError(f"interaction time {self.t} is not finite")
         check_register_size(2 * self.n + 1)  # before anything is built for the layout
+        object.__setattr__(self, "_operators", {})  # beside the frozen fields
 
     def layout(self) -> RegisterLayout:
         return RegisterLayout.standard(self.n)
 
-    def _kept(self, key, build) -> np.ndarray:
+    def _kept(self, key) -> np.ndarray:
         """The operator under ``key``, built, checked unitary and frozen on first use."""
-        kept = self.__dict__.setdefault("_operators", {})  # beside the frozen fields
-        if key not in kept:
-            kept[key] = check_unitary(build())
-            kept[key].setflags(write=False)
-        return kept[key]
+        op = self._operators.get(key)
+        if op is None:
+            if key == "encoder":
+                op = encoding_unitary(self.n, self.t, self.variant)
+            elif key == "encoder_adjoint":
+                op = self.encoder.conj().T
+            else:  # ("decoder", flips): alpha_2 flipped that many times
+                a = AlphaCoefficients.for_angle(self.n, self.t, self.variant)
+                flipped = AlphaCoefficients((a[0], a[1], a[2] * (-1) ** key[1], a[3]))
+                op = decoding_unitary(self.n, flipped)
+            op = self._operators[key] = check_unitary(op)
+            op.setflags(write=False)
+        return op
 
     @property
     def encoder(self) -> np.ndarray:
         """The encoder on [A, S_1..S_n], built on first use and kept read-only."""
-        return self._kept("encoder", lambda: encoding_unitary(self.n, self.t, self.variant))
+        return self._kept("encoder")
 
     @property
     def encoder_adjoint(self) -> np.ndarray:
         """The encoder's adjoint, for undoing it; built, checked and kept like it."""
-        return self._kept("encoder_adjoint", lambda: self.encoder.conj().T)
+        return self._kept("encoder_adjoint")
 
     def decoder(self, flips: int = 0) -> np.ndarray:
         """The target-1 decoder, alpha_2 flipped ``flips`` times.  Every other slot
         carries the same factor, so target t swaps the key wires of pairs 1 and t."""
-
-        def build() -> np.ndarray:  # the phases, too, only when it builds
-            a = AlphaCoefficients.for_angle(self.n, self.t, self.variant)
-            alphas = AlphaCoefficients((a[0], a[1], a[2] * (-1) ** flips, a[3]))
-            return decoding_unitary(self.n, alphas)
-        return self._kept(("decoder", flips % 2), build)
+        return self._kept(("decoder", flips % 2))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ edits fail loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2, prod
+from math import frexp, log2, prod
 
 import numpy as np
 
@@ -118,13 +118,12 @@ def single_qubit(amp0: complex, amp1: complex) -> StateVector:
     vec = np.array([amp0, amp1], dtype=np.complex128)
     if not np.isfinite(vec).all():
         raise StateValidationError(f"amplitudes ({amp0}, {amp1}) are not finite")
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(vec)
-    if not np.isfinite(norm):
-        raise StateValidationError(f"norm of the amplitudes ({amp0}, {amp1}) overflows")
-    if norm == 0:  # a non-zero pair's norm can underflow
-        raise StateValidationError(f"norm of the amplitudes ({amp0}, {amp1}) underflows"
-                                   if vec.any() else "zero amplitude pair")
+    # Scale exactly, by the largest part's power of two: tiny or huge norms under- or overflow.
+    parts = vec.view(np.float64)  # re0, im0, re1, im1
+    vec = np.ldexp(parts, -frexp(np.abs(parts).max())[1]).view(np.complex128)
+    norm = np.linalg.norm(vec)
+    if norm == 0:
+        raise StateValidationError("zero amplitude pair")
     return StateVector(vec / norm, RegisterLayout.generic(1))
 
 

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, JSON reports, files on disk."""
 
+import contextlib
+import functools
 import importlib
+import io
 import json
 import math
 import os
@@ -8,8 +11,10 @@ import pkgutil
 import resource
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import jsonschema
@@ -20,6 +25,7 @@ from hypothesis import strategies as st
 
 import qclone
 from qclone import cli, protocol, states
+from qclone.claims import Check
 from qclone.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -91,6 +97,16 @@ def test_demo_named_and_numeric_psi_agree(capsys):
     amps_a = load_report(out_a)["psi"]["amplitudes"]
     amps_b = load_report(out_b)["psi"]["amplitudes"]
     assert amps_a == amps_b  # 1,1 normalises to the plus state
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("psi", ["1e308,1e308", "1e-170,1e-170", "1e-160,1e-160"])
+def test_tiny_or_huge_amplitudes_run_as_the_state_they_name(capsys, psi):
+    """Their norm would overflow or underflow unless they are scaled first."""
+    code, out, err = run_cli(capsys, "demo", "--psi", psi)
+    assert code == EXIT_OK, err
+    plus = load_report(run_cli(capsys, "demo", "--psi=+")[1])
+    assert load_report(out)["psi"]["amplitudes"] == plus["psi"]["amplitudes"]
 
 
 def test_demo_target_restricts_decryptions(capsys):
@@ -395,6 +411,117 @@ def test_variants_all_pass(capsys):
 
 
 # ---------------------------------------------------------------------------
+# report schema
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+                 | st.sampled_from(["demo", "audit", "compile"]))
+_JSON_LIKE = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["command", "passed", "checks", "flags", "name", "value", "detail", "x"]),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+
+
+@functools.cache
+def _sample_reports() -> tuple[str, ...]:
+    """The report of one small run of each command."""
+    reports = []
+    with tempfile.TemporaryDirectory() as outdir:
+        for argv in (
+            ["demo", "--n", "1", "--psi=+"],
+            ["audit", "--n", "2"],
+            ["iterate", "--k", "1"],
+            ["variants"],
+            ["compile", "--n", "2", "--out", outdir],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(argv) == EXIT_OK, argv
+            reports.append(out.getvalue())
+    return tuple(reports)
+
+
+@st.composite
+def _mutated_reports(draw) -> dict:
+    """A real report, left whole or given one of the edits a broken command could make."""
+    report = json.loads(draw(st.sampled_from(_sample_reports())))
+    how = draw(st.sampled_from(
+        [None, "passed", "checks", "command", "flags", "key", "value", "text value"]))
+    x = draw(_JSON_SCALARS | _JSON_LIKE)
+    if how in ("passed", "checks"):
+        del report[how]
+    elif how in ("command", "flags"):
+        report[how] = x
+    elif how == "key":
+        report["checks"][0]["unknown"] = x
+    elif how is not None:
+        report["checks"][0]["value"] = str(x) if how == "text value" else x
+    return report
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.one_of(_JSON_LIKE, _mutated_reports()))
+def test_schema_checker_agrees_with_jsonschema(value):
+    schema = report_schema()
+    valid = jsonschema.Draft7Validator(schema).is_valid(value)
+    assert (cli._schema_error(value, schema) is None) == valid
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "object", "minProperties": 1},
+        {"type": "integer"},
+        {"type": "array", "items": [{"type": "string"}]},
+        {"type": "object", "additionalProperties": {"type": "string"}},
+        {"properties": {"checks": {"items": {"pattern": "x"}}}},
+    ],
+)
+def test_schema_checker_refuses_what_it_does_not_implement(schema):
+    with pytest.raises(ValueError, match="does not implement"):
+        cli._schema_error({"checks": ["x"]}, schema)
+
+
+@dataclass(frozen=True)
+class _CheckWithAnUnknownField(Check):
+    unknown: str = "not in the schema"
+
+
+@pytest.mark.parametrize("breaks", ["report", "schema"])
+def test_a_report_its_schema_refuses_is_an_internal_error(capsys, monkeypatch, breaks):
+    """A broken report, or a schema the checker cannot read, is never printed."""
+    if breaks == "report":
+        monkeypatch.setattr(cli, "cmd_audit", lambda args: cli._finish(
+            {"command": "audit", "checks": [_CheckWithAnUnknownField("x", True)]}, args.out))
+    else:
+        monkeypatch.setattr(cli, "report_schema", lambda: {**report_schema(), "minProperties": 1})
+    code, out, err = run_cli(capsys, "audit")
+    assert (code, out) == (EXIT_INTERNAL_ERROR, "")
+    assert err.startswith("internal error: ValueError: ") and err.count("\n") == 1, err
+
+
+def test_the_cli_runs_without_jsonschema(tmp_path):
+    argvs = [
+        ["demo", "--n", "2", "--psi=+"],
+        ["audit", "--n", "2"],
+        ["iterate", "--k", "1"],
+        ["variants"],
+        ["compile", "--n", "2", "--out", str(tmp_path)],
+    ]
+    script = (
+        "import sys\nimport qclone.cli\n"
+        "assert 'jsonschema' not in sys.modules, 'importing qclone.cli imported jsonschema'\n"
+        "sys.modules['jsonschema'] = None  # any import of it now fails\n"
+        f"for argv in {argvs!r}:\n    assert qclone.cli.main(argv) == 0, argv\n"
+    )
+    proc = _run_under_address_space_limit("-c", script)
+    assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
 # environment cap
 
 
@@ -492,8 +619,6 @@ def test_oversized_density_operator_is_refused_before_allocating(build, refused)
         ("compile", "--n", "1", "--t", "1e308", "--what", "enc"),
         ("sweep", "--tmax", "inf"),
         ("demo", "--psi", "nan,0"),
-        ("demo", "--psi", "1e308,1e308"),
-        ("demo", "--psi", "1e-170,1e-170"),
     ],
 )
 def test_bad_numeric_input_is_one_error_line(capsys, tmp_path, argv):

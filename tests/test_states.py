@@ -50,11 +50,11 @@ def test_single_qubit_normalizes():
     assert np.allclose(np.abs(state.amplitudes), [0.6, 0.8])
     with pytest.raises(StateValidationError, match="zero amplitude pair"):
         single_qubit(0.0, 0.0)
-    # a non-zero pair whose norm underflows to 0 is not called zero
-    with pytest.raises(StateValidationError, match=r"norm of the amplitudes .* underflows"):
-        single_qubit(1e-170, 1e-170)
-    with pytest.raises(StateValidationError, match=r"norm of the amplitudes .* overflows"):
-        single_qubit(1e308, 1e308)
+    # pairs whose norm would underflow or overflow, or lose digits to subnormals
+    for amp in (1e-155, 1e-160, 1e-170, 1e308):
+        amplitudes = single_qubit(amp, amp).amplitudes
+        assert abs(np.linalg.norm(amplitudes) - 1) < 1e-15, amp
+        assert np.allclose(amplitudes, [np.sqrt(0.5)] * 2), amp
 
 
 def test_statevector_rejects_bad_norm_and_shape():
