@@ -53,6 +53,8 @@ RUNS = [
         ["demo", "--n", "4", "--target", "3"],
         ["demo", "--n", "5", "--target", "4", "--psi=-i"],
         ["demo", "--t", "0.6"],
+        ["demo", "--n", "2", "--psi=+", "--t", "2.356194490192345"],  # 3pi/4, accepted
+        ["demo", "--n", "2", "--psi=+", "--t", "0.7853981634274483"],  # pi/4 + 3e-11, refused
         *(["demo", "--n", n, "--psi=+"] for n in ("6", "8", "9")),
         ["demo", "--n", "4", "--psi=0", "--out", "report.json"],
         *(["variants", "--seed", seed] for seed in ("0", "3", "4", "11")),

@@ -396,7 +396,7 @@ def cmd_iterate(args) -> int:
     plan = plan_iterated_cloning(args.k)
     clones = []
     min_fidelity = 1.0
-    for q, out in zip(plan.clones, decrypt_clones_from_input(plan, psi, plan.clones, psi)):
+    for q, out in zip(plan.clones, decrypt_clones_from_input(plan, psi, plan.clones)):
         key = list(plan.key_qubits(q))
         clones.append({"clone": q, "fidelity": out.fidelity, "key_qubits": key})
         min_fidelity = min(min_fidelity, out.fidelity)
@@ -469,7 +469,7 @@ def cmd_variants(args) -> int:
         checks.append(check(f"rotated-variant-n{n}", out.fidelity))
 
     plan = plan_iterated_cloning(1)
-    worst = min(out.fidelity for out in decrypt_clones_from_input(plan, psi, plan.clones, psi))
+    worst = min(out.fidelity for out in decrypt_clones_from_input(plan, psi, plan.clones))
     checks.append(check("iterated-k1-all-clones", worst))
 
     report = {

@@ -42,7 +42,7 @@ from .states import (
     single_qubit,
 )
 
-ANGLE_ATOL = 1e-9
+ANGLE_ATOL = 1e-11  # offset from pi/4 + m*pi/2; decoders stay unitary to about 1.5e-11
 
 
 class ProtocolError(QcloneError):
@@ -91,8 +91,6 @@ class ProtocolConfig:
         if op is None:
             if key == "encoder":
                 op = encoding_unitary(self.n, self.t, self.variant)
-            elif key == "encoder_adjoint":
-                op = self.encoder.conj().T
             else:  # ("decoder", flips): alpha_2 flipped that many times
                 a = AlphaCoefficients.for_angle(self.n, self.t, self.variant)
                 flipped = AlphaCoefficients((a[0], a[1], a[2] * (-1) ** key[1], a[3]))
@@ -105,11 +103,6 @@ class ProtocolConfig:
     def encoder(self) -> np.ndarray:
         """The encoder on [A, S_1..S_n], built on first use and kept read-only."""
         return self._kept("encoder")
-
-    @property
-    def encoder_adjoint(self) -> np.ndarray:
-        """The encoder's adjoint, for undoing it; built, checked and kept like it."""
-        return self._kept("encoder_adjoint")
 
     def decoder(self, flips: int = 0) -> np.ndarray:
         """The target-1 decoder, alpha_2 flipped ``flips`` times.  Every other slot
@@ -228,8 +221,9 @@ def _pauli_sum(strings, width: int) -> np.ndarray:
 
 
 def is_accepted_decrypt_angle(t: float) -> bool:
-    """Decryption works exactly at t = pi/4 + m pi/2 for integer m."""
-    return abs(math.remainder(t - math.pi / 4, math.pi / 2)) < ANGLE_ATOL
+    """Decryption works exactly at t = pi/4 + m pi/2 for integer m.  At an offset d from
+    there |cos^2 t - sin^2 t| = |sin 2d|, so d is read off the float t at any magnitude."""
+    return abs(math.cos(t) ** 2 - math.sin(t) ** 2) / 2 < ANGLE_ATOL
 
 
 @dataclass(frozen=True)
@@ -361,6 +355,24 @@ def decrypt(
     return decrypt_with_substitution(state, config, (), target, reference)
 
 
+def _undo(config: ProtocolConfig, slot: int, carrier: int, keys, flips: int = 0):
+    """The (operator, wires) undoing an encoding at ``carrier``, with one key wire per
+    pair: slot 0 (the data qubit) the encoder's adjoint, slot t the target-1 decoder,
+    alpha_2 flipped ``flips`` times, with key t in pair 1's place."""
+    keys = list(keys)
+    if not slot:
+        return config.encoder.conj().T, [carrier, *keys]
+    keys[0], keys[slot - 1] = keys[slot - 1], keys[0]
+    return config.decoder(flips), [carrier, *keys]
+
+
+def _decrypt(state, config: ProtocolConfig, slot: int, keys, reference, flips: int = 0):
+    """Undo the encoding at slot 0 (A) or slot t (S_t) of a standard register."""
+    carrier = state.layout.signal(slot) if slot else state.layout.data
+    undo = _undo(config, slot, carrier, keys, flips)
+    return DecryptionOutcome(_apply(state, [undo]), carrier, reference)
+
+
 def decrypt_with_substitution(
     state: StateVector,
     config: ProtocolConfig,
@@ -382,19 +394,9 @@ def decrypt_with_substitution(
             f"noise qubit N_{target} belongs to the target pair and cannot be"
             " substituted"
         )
-    u = config.decoder(len(lost))
     layout = state.layout
     keys = [layout.signal(j) if j in lost else layout.noise(j) for j in range(1, config.n + 1)]
-    keys[0], keys[target - 1] = keys[target - 1], keys[0]  # the target's pair plays pair 1
-    physical = [layout.signal(target), *keys]
-    return DecryptionOutcome(_apply(state, [(u, physical)]), layout.signal(target), reference)
-
-
-def _unencode(state: StateVector, config: ProtocolConfig, partner, reference) -> DecryptionOutcome:
-    """Apply the encoder's adjoint to [A] + partner(1..n) and read out A."""
-    layout = state.layout
-    undo = (config.encoder_adjoint, [layout.data] + [partner(j) for j in range(1, config.n + 1)])
-    return DecryptionOutcome(_apply(state, [undo]), layout.data, reference)
+    return _decrypt(state, config, target, keys, reference, len(lost))
 
 
 def decrypt_from_A(
@@ -412,7 +414,8 @@ def decrypt_from_A(
         raise OddCloneCountError(
             f"data-side decryption needs an even clone count, got n={config.n}"
         )
-    return _unencode(state, config, state.layout.noise, reference)
+    keys = [state.layout.noise(j) for j in range(1, config.n + 1)]
+    return _decrypt(state, config, 0, keys, reference)
 
 
 def reverse_encoding_recovery(
@@ -421,7 +424,8 @@ def reverse_encoding_recovery(
     reference: StateVector | None = None,
 ) -> DecryptionOutcome:
     """Undo the encoder outright on (A, S_1..S_n); valid at every t."""
-    return _unencode(state, config, state.layout.signal, reference)
+    keys = [state.layout.signal(j) for j in range(1, config.n + 1)]
+    return _decrypt(state, config, 0, keys, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +508,6 @@ def plan_iterated_cloning(depth: int) -> IteratedCloningPlan:
 _TREE_CONFIG = ProtocolConfig(n=2)  # every tree step's operators, built on first use
 
 
-def _undo(role: int, carrier: int, pair) -> tuple[np.ndarray, list[int]]:
-    """The (operator, wires) undoing a tree step at ``carrier`` with key ``pair``: role 0
-    (the data slot) the encoder's adjoint, role i the target-1 decoder with key i first."""
-    u = _TREE_CONFIG.decoder() if role else _TREE_CONFIG.encoder_adjoint
-    return u, [carrier, *(pair[::-1] if role == 2 else pair)]
-
-
 def _seed(psi: StateVector) -> StateVector:
     if psi.num_qubits != 1:
         raise ProtocolError("the input must be a single-qubit state")
@@ -575,17 +572,16 @@ def decrypt_clone(
         if not isinstance(pair, (tuple, list)) or not len(pair) == len(allowed & set(pair)) == 2:
             raise ProtocolError(f"key_override level {level}: {pair!r} is not two distinct"
                                 f" register qubits other than the clone {clone}")
-    walk = [_undo(role, clone, key_override.get(step.level, step.noises))
+    walk = [_undo(_TREE_CONFIG, role, clone, key_override.get(step.level, step.noises))
             for step, role in plan.ancestry(clone)]
     return DecryptionOutcome(_apply(state, walk), clone, reference)
 
 
 def decrypt_clones_from_input(
-    plan: IteratedCloningPlan, psi: StateVector, clones,
-    reference: StateVector | None = None, fresh_key_level: int | None = None,
+    plan: IteratedCloningPlan, psi: StateVector, clones, *, fresh_key_level: int | None = None,
 ) -> Iterator[DecryptionOutcome]:
     """Yield each clone's outcome, in the order given, with :func:`decrypt_clone`'s
-    ``recovered`` and ``fidelity``.
+    ``recovered`` and its ``fidelity`` to ``psi``.
 
     Encoders off a clone's ancestry act only on qubits its key cone traces out,
     so each clone is decrypted on the 1 + 4*depth qubits grown through its
@@ -609,6 +605,6 @@ def decrypt_clones_from_input(
         prev, state, fresh = path, registers[-1], None
         if fresh_key_level is not None:  # uncorrelated with every level, so appended first
             state, fresh = append_fresh_pair(state)
-        walk = [_undo(role, local[clone], fresh if step.level == fresh_key_level
+        walk = [_undo(_TREE_CONFIG, role, local[clone], fresh if step.level == fresh_key_level
                       else [local[q] for q in step.noises]) for step, role in chain]
-        yield DecryptionOutcome(_apply(state, walk), local[clone], reference)
+        yield DecryptionOutcome(_apply(state, walk), local[clone], psi)

@@ -169,6 +169,33 @@ def test_demo_refuses_an_undecryptable_angle_before_encoding(capsys, monkeypatch
                    " cannot undo this encoding\n")
 
 
+@pytest.mark.parametrize("t", ["0.7853981634274483", "157080.41807765304", "1e+308"])
+def test_an_angle_outside_the_window_is_refused_as_an_angle(capsys, t):
+    """pi/4 + 3e-11, pi/4 + 10^5 pi/2 as a float (1.8e-11 off) and a float near the
+    largest are refused for their angle, not by a later check or an overflow."""
+    code, out, err = run_cli(capsys, "demo", "--n", "2", "--psi=+", "--t", t)
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err == (f"error: t={t} is not of the form pi/4 + m*pi/2; the phase decoder"
+                   " cannot undo this encoding\n")
+
+
+def test_a_failed_rename_leaves_no_temporary_and_the_old_report(capsys, monkeypatch, tmp_path):
+    """When the final rename fails, the temporary file is removed, the target
+    keeps its bytes, and the run exits 2 on one line."""
+    target = tmp_path / "report.json"
+    target.write_bytes(b"old report")
+
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {os.path.basename(src)}")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    code, out, err = run_cli(capsys, "demo", "--n", "2", "--psi=+", "--out", str(target))
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err.startswith("error: cannot rename .qclone-") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    assert target.read_bytes() == b"old report"
+
+
 def test_demo_out_into_missing_directory(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "demo", "--out", str(tmp_path / "missing" / "report.json")
@@ -265,6 +292,16 @@ def test_sweep_peak_at_quarter_pi(capsys):
     rows = out.strip().splitlines()[1:]
     by_t = {float(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
     assert by_t[min(by_t, key=lambda t: abs(t - math.pi / 4))] == 1.0
+
+
+def test_sweep_off_its_closed_form_exits_1_and_writes_nothing(capsys, monkeypatch):
+    formula = qclone.analysis.coherent_information_formula
+    monkeypatch.setattr(qclone.analysis, "coherent_information_formula",
+                        lambda t: formula(t) + 1e-6)
+    code, out, err = run_cli(capsys, "sweep", "--n", "2", "--points", "5")
+    assert (code, out) == (EXIT_CHECK_FAILED, "")
+    assert err.startswith("sweep check failed: simulation disagrees with the closed form")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +445,19 @@ def test_variants_all_pass(capsys):
     assert "reverse-encoding-n3" in names
     assert "rotated-variant-n2" in names
     assert "iterated-k1-all-clones" in names
+
+
+def test_variants_fails_when_odd_n_data_side_decryption_is_not_refused(capsys, monkeypatch):
+    def unrefused(state, config, reference=None):  # decrypt_from_A without its parity check
+        keys = [state.layout.noise(j) for j in range(1, config.n + 1)]
+        return protocol._decrypt(state, config, 0, keys, reference)
+
+    monkeypatch.setattr(cli, "decrypt_from_A", unrefused)
+    code, out, _ = run_cli(capsys, "variants")
+    assert code == EXIT_CHECK_FAILED
+    report = load_report(out)
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert report["passed"] is False and failed == ["data-side-decrypt-odd-n-rejected"]
 
 
 # ---------------------------------------------------------------------------
@@ -784,12 +834,12 @@ def test_each_protocol_operator_is_checked_once_where_it_is_built(capsys, monkey
 
     monkeypatch.setattr(protocol, "check_unitary", spy("owner", protocol.check_unitary))
     monkeypatch.setattr(states, "check_unitary", spy("apply", states.check_unitary))
-    tree.encoder, tree.encoder_adjoint, tree.decoder()  # the tree's three operators
-    assert checked == Counter({"owner": 3})
+    tree.encoder, tree.decoder()  # the tree's two operators; the adjoint is derived
+    assert checked == Counter({"owner": 2})
     for argv, owner_checks in [
         (("demo", "--n", "4"), 2),  # the encoder and the one decoder
         (("audit", "--n", "5"), 1),  # the encoder
-        (("iterate", "--k", "2"), 0),  # the tree's three operators exist already
+        (("iterate", "--k", "2"), 0),  # the tree's two operators exist already
     ]:
         checked.clear()
         assert run_cli(capsys, *argv)[0] == EXIT_OK

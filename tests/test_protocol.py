@@ -155,6 +155,36 @@ def test_accepted_angles_form_a_half_period_lattice():
         assert not is_accepted_decrypt_angle(t)
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_the_angle_window_is_where_decoders_pass_their_checks(variant):
+    """Just inside ANGLE_ATOL of pi/4 + m pi/2 every decoder builds and passes its
+    unitarity check; just outside, the angle itself is refused."""
+    for n, m, sign in itertools.product(range(1, 7), range(-3, 4), (1, -1)):
+        t = math.pi / 4 + m * math.pi / 2
+        inside = ProtocolConfig(n=n, t=t + sign * 0.99 * protocol.ANGLE_ATOL, variant=variant)
+        for flips in (0, 1):
+            inside.decoder(flips)
+        outside = ProtocolConfig(n=n, t=t + sign * 1.01 * protocol.ANGLE_ATOL, variant=variant)
+        with pytest.raises(AngleError, match="is not of the form"):
+            outside.decoder()
+
+
+def test_the_angle_window_holds_at_large_angles():
+    """Near m = 10^5 floats are 2.9e-11 apart, wider than the window, and pi/2 is
+    rounded m times over; every angle accepted there still decodes."""
+    accepted = 0
+    for m in range(100_000, 100_200):
+        t = math.pi / 4 + m * math.pi / 2
+        for _ in range(3):
+            t = math.nextafter(t, -math.inf)
+        for _ in range(6):
+            if is_accepted_decrypt_angle(t):
+                accepted += 1
+                ProtocolConfig(n=2, t=t).decoder()
+            t = math.nextafter(t, math.inf)
+    assert accepted > 20
+
+
 def test_alphas_for_angle_rejects_generic_t():
     with pytest.raises(AngleError):
         AlphaCoefficients.for_angle(2, math.pi / 8)
@@ -228,7 +258,7 @@ def test_every_decrypt_reads_its_result_off_the_decrypted_register(rng):
         decrypt_from_A(state, config, reference=psi),
         reverse_encoding_recovery(state, config, reference=psi),
         decrypt_clone(plan, tree, plan.clones[1], reference=psi),
-        *decrypt_clones_from_input(plan, psi, plan.clones[2:], reference=psi),
+        *decrypt_clones_from_input(plan, psi, plan.clones[2:]),
     ]
     for out in outcomes:
         recovered = partial_trace(out.post_state, [out.carrier])

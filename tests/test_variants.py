@@ -227,7 +227,8 @@ def target_decoder_walk(plan, state, clone, key_override=None):
 
 
 def test_the_tree_takes_its_operators_from_one_n2_config(monkeypatch):
-    """Every tree step applies the operators of one n = 2 config, kept read-only there."""
+    """Every tree step applies the operators of one n = 2 config, kept read-only there;
+    the data slot is undone by the encoder's adjoint, derived from the kept encoder."""
     config = ProtocolConfig(n=2)
     monkeypatch.setattr(qclone.protocol, "_TREE_CONFIG", config)
     applied = []
@@ -242,9 +243,9 @@ def test_the_tree_takes_its_operators_from_one_n2_config(monkeypatch):
     for clone in plan.clones:
         decrypt_clone(plan, state, clone)
     assert applied[0] is config.encoder
-    assert applied[1] is config.encoder_adjoint
+    assert applied[1].tobytes() == config.encoder.conj().T.tobytes()
     assert all(u is config.decoder() for u in applied[2:]) and len(applied) == 4
-    for u in (config.encoder, config.encoder_adjoint, config.decoder()):
+    for u in (config.encoder, config.decoder()):
         assert not u.flags.writeable
 
 
@@ -375,7 +376,7 @@ def test_ancestry_register_matches_the_full_register_oracle(depth, name, rng):
     psi = haar_random_qubit(rng) if name is None else named_state(name)
     plan = plan_iterated_cloning(depth)
     state = execute_iterated_cloning(plan, psi)
-    outcomes = decrypt_clones_from_input(plan, psi, plan.clones, psi)
+    outcomes = decrypt_clones_from_input(plan, psi, plan.clones)
     for clone, got in zip(plan.clones, outcomes, strict=True):
         expect = decrypt_clone(plan, state, clone, psi)
         assert_same_outcome(got, expect, key_cones(plan, clone), clone)
@@ -387,7 +388,7 @@ def test_fresh_pair_on_the_cone_matches_the_appended_register(depth, rng):
     plan = plan_iterated_cloning(depth)
     enlarged, fresh = append_fresh_pair(execute_iterated_cloning(plan, psi))
     for level in range(1, depth + 1):
-        outcomes = decrypt_clones_from_input(plan, psi, plan.clones, psi, fresh_key_level=level)
+        outcomes = decrypt_clones_from_input(plan, psi, plan.clones, fresh_key_level=level)
         for clone, got in zip(plan.clones, outcomes, strict=True):
             expect = decrypt_clone(plan, enlarged, clone, psi, key_override={level: fresh})
             assert_same_outcome(got, expect, key_cones(plan, clone, level), (clone, level))
@@ -402,11 +403,11 @@ def test_shared_growth_is_bitwise_one_clone_at_a_time(depth, name, rng):
     shuffled = [int(q) for q in rng.permutation(plan.clones)]
     for level in (None, *range(1, depth + 1)):
         alone = {
-            clone: next(decrypt_clones_from_input(plan, psi, [clone], psi, fresh_key_level=level))
+            clone: next(decrypt_clones_from_input(plan, psi, [clone], fresh_key_level=level))
             for clone in plan.clones
         }
         for order in (plan.clones[::-1], shuffled):
-            outcomes = decrypt_clones_from_input(plan, psi, order, psi, fresh_key_level=level)
+            outcomes = decrypt_clones_from_input(plan, psi, order, fresh_key_level=level)
             for clone, got in zip(order, outcomes, strict=True):
                 expect = alone[clone]
                 assert np.array_equal(got.recovered.matrix, expect.recovered.matrix)
