@@ -63,11 +63,14 @@ RUNS = [
         ["iterate", "--k", "2", "--seed", "5"],
         ["iterate", "--k", "6"],
         ["sweep", "--n", "2", "--points", "5"],
+        ["sweep", "--n", "5", "--points", "9"],  # 7-qubit joint blocks
         ["compile", "--n", "4", "--out", "."],
         ["compile", "--n", "4", "--format", "openqasm2", "--variant", "rotated", "--out", "."],
         ["compile", "--n", "7", "--what", "both", "--out", "."],
         ["compile", "--n", "7", "--t", "0.3", "--what", "enc", "--out", "."],
         ["compile", "--n", "9", "--out", "."],
+        # pi/4 + 2e-12: the decoder's block phases sit up to 8e-12 off the unit circle
+        ["compile", "--n", "3", "--t", "0.7853981633994482", "--what", "dec", "--out", "."],
     ]),
     *((c, argv) for argv, cap in _EDGES for c in (cap, cap - 1)),
 ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,8 +46,18 @@ class GateKind(Enum):
     CONTROLLED_U = "CONTROLLED_U"
 
 
-_TWO_QUBIT_KINDS = frozenset({GateKind.CNOT, GateKind.CONTROLLED_U})
-_PARAM_KINDS = frozenset({GateKind.RZ, GateKind.PHASE})
+# Each kind's wire count, its TEXT field after ";" ("u" carries the matrix, any other
+# the angle, None is no field) and its OPENQASM 2 gate (None: CONTROLLED_U is lowered
+# by controlled_u_qasm_lines).  The gate check, both exporters and the parser read it.
+_Form = namedtuple("_Form", "wires field qasm")
+_FORMS = {
+    GateKind.H: _Form(1, None, "h"),
+    GateKind.X: _Form(1, None, "x"),
+    GateKind.RZ: _Form(1, "theta", "rz"),
+    GateKind.PHASE: _Form(1, "phi", "u1"),
+    GateKind.CNOT: _Form(2, None, "cx"),
+    GateKind.CONTROLLED_U: _Form(2, "u", None),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,16 +69,16 @@ class Gate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "targets", tuple(int(q) for q in self.targets))
-        arity = 2 if self.kind in _TWO_QUBIT_KINDS else 1
+        arity, field, _ = _FORMS[self.kind]
         if len(self.targets) != arity:
             raise CircuitError(f"{self.kind.value} takes {arity} wires, got {self.targets}")
         if len(set(self.targets)) != len(self.targets):
             raise CircuitError(f"repeated wire in {self.targets}")
         if any(q < 0 for q in self.targets):
             raise CircuitError(f"negative wire index in {self.targets}")
-        if (self.param is not None) != (self.kind in _PARAM_KINDS):
+        if (self.param is not None) != (field not in (None, "u")):
             raise CircuitError(f"{self.kind.value}: parameter mismatch")
-        if (self.matrix is not None) != (self.kind is GateKind.CONTROLLED_U):
+        if (self.matrix is not None) != (field == "u"):
             raise CircuitError(f"{self.kind.value}: matrix mismatch")
         if self.matrix is not None:
             mat = np.asarray(self.matrix, dtype=np.complex128)
@@ -85,7 +96,7 @@ class Gate:
 
     @property
     def is_two_qubit(self) -> bool:
-        return self.kind in _TWO_QUBIT_KINDS
+        return _FORMS[self.kind].wires == 2
 
 
 def gate_h(q: int) -> Gate:
@@ -246,11 +257,8 @@ def _fmt_float(x: float) -> str:
 
 
 def _fmt_matrix(mat: np.ndarray) -> str:
-    parts: list[str] = []
-    for entry in np.asarray(mat).ravel():
-        parts.append(_fmt_float(entry.real))
-        parts.append(_fmt_float(entry.imag))
-    return ",".join(parts)
+    """Real and imaginary part of each entry, row by row: the view _parse_matrix undoes."""
+    return ",".join(_fmt_float(x) for x in np.asarray(mat).view(np.float64).ravel())
 
 
 def _parse_matrix(text: str, dim: int) -> np.ndarray:
@@ -273,20 +281,17 @@ def export_circuit(circuit: GateCircuit, format: str = "TEXT") -> str:
 def _export_text(circuit: GateCircuit) -> str:
     lines = [f"qubits={circuit.num_qubits}"]
     for g in circuit.gates:
-        wires = ",".join(str(q) for q in g.targets)
-        if g.kind is GateKind.RZ:
-            lines.append(f"RZ {wires};theta={_fmt_float(g.param)}")
-        elif g.kind is GateKind.PHASE:
-            lines.append(f"PHASE {wires};phi={_fmt_float(g.param)}")
-        elif g.kind is GateKind.CONTROLLED_U:
-            lines.append(f"{g.kind.value} {wires};u={_fmt_matrix(g.matrix)}")
-        else:
-            lines.append(f"{g.kind.value} {wires}")
+        lines.append(f"{g.kind.value} {','.join(map(str, g.targets))}")
+        field = _FORMS[g.kind].field
+        if field:
+            value = _fmt_matrix(g.matrix) if field == "u" else _fmt_float(g.param)
+            lines[-1] += f";{field}={value}"
     return "\n".join(lines) + "\n"
 
 
 def parse_circuit_text(text: str) -> GateCircuit:
-    """Inverse of the TEXT export.  A malformed line raises CircuitError naming it."""
+    """Inverse of the TEXT export.  A malformed line raises CircuitError naming it,
+    as does a ``;`` field other than the one its gate kind carries."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("qubits="):
         raise CircuitError("missing qubits= header")
@@ -303,23 +308,18 @@ def _parse_line(line: str, parse):
 
 
 def _parse_gate(line: str) -> Gate:
-    head, _, tail = line.partition(";")
+    head, sep, tail = line.partition(";")
     name, _, wire_text = head.partition(" ")
     kind = GateKind(name)
     wires = tuple(int(w) for w in wire_text.split(","))
-    param = None
-    matrix = None
-    if kind in _PARAM_KINDS:
-        key, _, val = tail.partition("=")
-        if key not in ("theta", "phi"):
-            raise CircuitError(f"bad parameter field {tail!r}")
-        param = float(val)
-    elif kind is GateKind.CONTROLLED_U:
-        key, _, val = tail.partition("=")
-        if key != "u":
-            raise CircuitError(f"bad matrix field {tail!r}")
-        matrix = _parse_matrix(val, 2)
-    return Gate(kind, wires, param=param, matrix=matrix)
+    field = _FORMS[kind].field
+    key, _, val = tail.partition("=")
+    if (key if sep else None) != field:  # a kind without a field takes no ";" at all
+        want = f"{field}=" if field else "no"
+        raise CircuitError(f"{name} carries {want} field, got {sep + tail!r}")
+    if field == "u":
+        return Gate(kind, wires, matrix=_parse_matrix(val, 2))
+    return Gate(kind, wires, param=float(val) if field else None)
 
 
 # -- OPENQASM2 --------------------------------------------------------------
@@ -369,16 +369,10 @@ def _export_qasm(circuit: GateCircuit) -> str:
         f"qreg q[{circuit.num_qubits}];",
     ]
     for g in circuit.gates:
-        if g.kind is GateKind.H:
-            lines.append(f"h q[{g.targets[0]}];")
-        elif g.kind is GateKind.X:
-            lines.append(f"x q[{g.targets[0]}];")
-        elif g.kind is GateKind.RZ:
-            lines.append(f"rz({_fmt_float(g.param)}) q[{g.targets[0]}];")
-        elif g.kind is GateKind.PHASE:
-            lines.append(f"u1({_fmt_float(g.param)}) q[{g.targets[0]}];")
-        elif g.kind is GateKind.CNOT:
-            lines.append(f"cx q[{g.targets[0]}],q[{g.targets[1]}];")
-        else:
-            lines.extend(controlled_u_qasm_lines(g.targets[0], g.targets[1], g.matrix))
+        name = _FORMS[g.kind].qasm
+        if name is None:
+            lines.extend(controlled_u_qasm_lines(*g.targets, g.matrix))
+            continue
+        angle = "" if g.param is None else f"({_fmt_float(g.param)})"
+        lines.append(f"{name}{angle} {','.join(f'q[{q}]' for q in g.targets)};")
     return "\n".join(lines) + "\n"

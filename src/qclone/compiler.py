@@ -93,6 +93,7 @@ def principal_sqrt_2x2(u) -> np.ndarray:
     ):
         root = cmath.exp(0.5j * cmath.phase(u[0, 0]))
         v = root * np.eye(2, dtype=np.complex128)
+        u = u / abs(u[0, 0])  # v squares to this unimodular projection of the scalar
     else:
         theta = cmath.phase(np.linalg.det(u)) / 2.0
         su = u * cmath.exp(-1j * theta)

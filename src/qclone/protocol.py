@@ -162,10 +162,6 @@ def default_probe_states() -> list[StateVector]:
 # encoder
 
 
-def _second_axis(variant: Variant) -> int:
-    return 2 if variant is Variant.ROTATED_X2 else 3
-
-
 def expansion_coefficients(n: int, t: float, variant: Variant = Variant.STANDARD):
     """Pauli-string weights c_mu(t) of the expanded encoder.
 
@@ -176,11 +172,11 @@ def expansion_coefficients(n: int, t: float, variant: Variant = Variant.STANDARD
     """
     c, s = math.cos(t), math.sin(t)
     sc = -1j * s * c
-    if _second_axis(variant) == 3:
-        cross = -((-1j) ** (n + 1)) * s * s
-        return (c * c, sc, cross, sc)
-    cross = -((1j) ** (n + 1)) * s * s
-    return (c * c, sc, sc, cross)
+    if variant is Variant.ROTATED_X2:
+        cross = -((1j) ** (n + 1)) * s * s
+        return (c * c, sc, sc, cross)
+    cross = -((-1j) ** (n + 1)) * s * s
+    return (c * c, sc, cross, sc)
 
 
 def encoding_unitary(n: int, t: float, variant: Variant = Variant.STANDARD) -> np.ndarray:
@@ -188,10 +184,10 @@ def encoding_unitary(n: int, t: float, variant: Variant = Variant.STANDARD) -> n
     if n < 1:
         raise ProtocolError(f"need n >= 1, got {n}")
     qubits = range(n + 1)
-    strings = [
+    strings = (
         PauliString.uniform(mu, qubits, c)
         for mu, c in enumerate(expansion_coefficients(n, t, variant))
-    ]
+    )
     return _pauli_sum(strings, n + 1)
 
 
@@ -199,7 +195,8 @@ def _pauli_sum(strings, width: int) -> np.ndarray:
     """Dense sum of Pauli strings on ``width`` qubits, one scatter per X mask.
 
     Strings that share an X mask fill the same entries, so their column values
-    are added first, in string order: each entry is the per-string sum.
+    are added first, in string order: each entry is the per-string sum.  The cap
+    is checked before the first string is drawn, so lazy strings cost nothing if refused.
     """
     check_register_size(width, matrix=True)
     cols = np.arange(2**width)
@@ -272,29 +269,33 @@ def decoding_unitary(n: int, alphas: AlphaCoefficients, target: int = 1) -> np.n
     if not 1 <= target <= n:
         raise ProtocolError(f"target {target} outside 1..{n}")
     others = [s for s in range(1, n + 1) if s != target]
-    check_register_size(n + 1, matrix=True)
-    strings = []
-    for mu in range(4):
-        for nu in range(4):
+
+    def strings():
+        for mu, nu in itertools.product(range(4), repeat=2):
             sign = -1 if mu and nu and mu != nu else 1
             if nu == 2:  # sigma_nu^T on the pair slot
                 sign = -sign
             if mu == 2:  # sigma_mu^T on every other slot
                 sign *= (-1) ** len(others)
             factors = {0: nu, target: nu} | dict.fromkeys(others, mu)
-            strings.append(PauliString.from_factors(factors, alphas[mu] * sign / 4))
-    return _pauli_sum(strings, n + 1)
+            yield PauliString.from_factors(factors, alphas[mu] * sign / 4)
+
+    return _pauli_sum(strings(), n + 1)
 
 
 # ---------------------------------------------------------------------------
 # running the protocol
 
 
-def prepare_initial(config: ProtocolConfig, psi: StateVector) -> StateVector:
-    """The input state (x) n Bell pairs on the standard layout."""
+def _seed(psi: StateVector) -> StateVector:
     if psi.num_qubits != 1:
         raise ProtocolError("the input must be a single-qubit state")
-    return kron_states([psi.amplitudes] + [BELL_PHI] * config.n, config.layout())
+    return psi
+
+
+def prepare_initial(config: ProtocolConfig, psi: StateVector) -> StateVector:
+    """The input state (x) n Bell pairs on the standard layout."""
+    return kron_states([_seed(psi).amplitudes] + [BELL_PHI] * config.n, config.layout())
 
 
 def encode(state: StateVector, config: ProtocolConfig) -> StateVector:
@@ -506,12 +507,6 @@ def plan_iterated_cloning(depth: int) -> IteratedCloningPlan:
 
 
 _TREE_CONFIG = ProtocolConfig(n=2)  # every tree step's operators, built on first use
-
-
-def _seed(psi: StateVector) -> StateVector:
-    if psi.num_qubits != 1:
-        raise ProtocolError("the input must be a single-qubit state")
-    return StateVector(psi.amplitudes, RegisterLayout.generic(1))
 
 
 def _grow(state: StateVector, step: CloningStep, local: dict[int, int]) -> StateVector:

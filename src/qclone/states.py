@@ -68,7 +68,8 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Mixed state of a qubit register (Hermitian, unit trace, PSD), its 2^w-square matrix."""
+    """Mixed state of a qubit register (Hermitian, unit trace, PSD), its 2^w-square matrix;
+    ``spectrum``, its eigenvalues ascending and read-only, is the one solve that proves it PSD."""
 
     matrix: np.ndarray
 
@@ -85,17 +86,11 @@ class DensityOperator:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > STATE_ATOL:
             raise StateValidationError(f"density operator trace {tr} deviates from 1")
-        # Cheap PSD proof first: a Cholesky factorisation of the shifted
-        # matrix succeeding certifies every eigenvalue is > -EIG_NEG_TOL.
-        # Only on failure pay for the full spectrum to decide authoritatively.
-        try:
-            np.linalg.cholesky(mat + EIG_NEG_TOL * np.eye(dim))
-        except np.linalg.LinAlgError:
-            lo = float(np.linalg.eigvalsh(mat)[0])
-            if lo < -EIG_NEG_TOL:
-                raise StateValidationError(
-                    f"density operator has eigenvalue {lo} < 0"
-                ) from None
+        spectrum = np.linalg.eigvalsh(mat)  # ascending; the one eigensolve of this operator
+        if spectrum[0] < -EIG_NEG_TOL:
+            raise StateValidationError(f"density operator has eigenvalue {float(spectrum[0])} < 0")
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "spectrum", spectrum)  # derived, so not a field
 
     @property
     def num_qubits(self) -> int:
@@ -266,11 +261,8 @@ def reduced_trace_distance(a: StateVector, b: StateVector, traced) -> float:
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
-    """Entropy in bits; eigenvalues inside the zero-clamp window contribute 0."""
-    eigs = np.linalg.eigvalsh(rho.matrix)
-    if float(eigs[0]) < -EIG_NEG_TOL:
-        raise StateValidationError(f"eigenvalue {eigs[0]} below tolerance")
-    return shannon_entropy(eigs)
+    """Entropy in bits, off the kept spectrum; eigenvalues in the zero-clamp window add 0."""
+    return shannon_entropy(rho.spectrum)
 
 
 def shannon_entropy(probabilities) -> float:

@@ -49,6 +49,12 @@ I_AT_PI_OVER_8 = 0.201752073385712
 # closed-form curve
 
 
+@pytest.mark.parametrize("values", [(0.5, 0.5, 0.5, -0.5), (0.25, 0.25, 0.25, 0.2)])
+def test_lambda_spectrum_refuses_what_is_no_probability_vector(values):
+    with pytest.raises(AnalysisError, match="not a probability spectrum"):
+        LambdaSpectrum(t=0.0, values=values)
+
+
 def test_lambda_spectrum_is_a_probability_vector():
     for t in (0.0, 0.3, math.pi / 4, 2.9):
         spec = LambdaSpectrum.from_angle(t)
@@ -166,6 +172,10 @@ def test_default_grid_endpoints_and_length():
     assert grid[-1] == pytest.approx(math.pi)
     short = default_time_grid(3, 1.5707963)
     assert np.allclose(short, [0.0, 0.78539815, 1.5707963])
+    with pytest.raises(AnalysisError, match="at least one grid point"):
+        default_time_grid(0)
+    with pytest.raises(AnalysisError, match="empty time grid"):
+        sweep_coherent_information([], 2)
 
 
 def test_csv_has_the_agreed_header_and_width():

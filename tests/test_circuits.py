@@ -89,6 +89,8 @@ def test_gate_validation_errors():
         Gate(GateKind.RZ, (0,))  # missing parameter
     with pytest.raises(CircuitError):
         Gate(GateKind.CONTROLLED_U, (0, 1))  # missing matrix
+    with pytest.raises(CircuitError, match="not finite"):
+        gate_rz(0, math.inf)
     with pytest.raises(CircuitError):
         gate_cu(0, 1, np.eye(4))  # wrong matrix shape
     with pytest.raises(Exception):
@@ -376,6 +378,14 @@ def test_text_parser_rejects_garbage():
         "qubits=x\n",
         "qubits=2\nH a\n",  # a wire that is not an integer
         "qubits=2\nCONTROLLED_U 0,1;u=1,0,0,0,0,0,one,0\n",
+        # a ";" field other than the one the kind carries
+        "qubits=2\nRZ 0;phi=0.5\n",
+        "qubits=2\nPHASE 0;theta=0.5\n",
+        "qubits=2\nH 0;junk\n",
+        "qubits=2\nH 0;\n",
+        "qubits=2\nCNOT 0,1;theta=3\n",
+        "qubits=2\nCONTROLLED_U 0,1;theta=3\n",
+        "qubits=2\nRZ 0\n",
     ],
 )
 def test_text_parser_names_the_malformed_line(text):

@@ -24,7 +24,9 @@ from qclone.compiler import (
     compile_encoding,
     principal_sqrt_2x2,
 )
+from qclone.claims import CIRCUIT_EQUIV_ATOL
 from qclone.protocol import (
+    ANGLE_ATOL,
     AlphaCoefficients,
     ProtocolConfig,
     Variant,
@@ -66,6 +68,15 @@ def test_principal_sqrt_of_scalar_matrices(phase):
     u = np.exp(1j * phase) * np.eye(2)
     v = principal_sqrt_2x2(u)
     assert np.allclose(v @ v, u, atol=1e-12)
+
+
+@pytest.mark.parametrize("modulus", [1 - 4e-11, 1 + 4e-11])
+def test_principal_sqrt_of_a_scalar_within_the_unitarity_window(modulus):
+    # check_unitary admits a scalar 4e-11 off the unit circle; its root is
+    # the root of the unimodular projection, which is what it must square to.
+    u = modulus * np.exp(2.5j) * np.eye(2)
+    v = principal_sqrt_2x2(u)
+    assert np.abs(v @ v - u / modulus).max() <= 1e-12
 
 
 def test_principal_sqrt_input_validation():
@@ -262,6 +273,22 @@ def test_compile_equivalence_residuals_stay_at_noise_level(capsys, tmp_path, n, 
     residuals = [c["value"] for c in checks if c["name"].endswith("-circuit-equivalence")]
     assert len(residuals) == 2
     assert max(residuals) <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("variant", ["standard", "rotated"])
+def test_compile_decodes_at_every_angle_the_window_accepts(capsys, tmp_path, n, variant):
+    # The decoder's block phases alpha_mu/alpha_0 then sit up to about 4e-11
+    # off the unit circle; each still compiles to an equivalent circuit.
+    for m in (-1, 0, 1, 2):
+        for offset in (0.5, -0.5, 0.99, -0.99):
+            t = math.pi / 4 + m * math.pi / 2 + offset * ANGLE_ATOL
+            argv = ["compile", "--n", str(n), "--t", repr(t), "--what", "dec",
+                    "--variant", variant, "--out", str(tmp_path)]
+            assert cli.main(argv) == cli.EXIT_OK, (m, offset, capsys.readouterr().err)
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            (dev,) = [c["value"] for c in checks if c["name"] == "decoding-circuit-equivalence"]
+            assert dev < CIRCUIT_EQUIV_ATOL, (m, offset)
 
 
 def test_gate_count_report_rejects_small_n(capsys, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import embed_operator
+from oracles import basis_state
 from qclone import protocol
 from qclone.cli import main
 from qclone.paulis import SIGMA
@@ -36,6 +37,7 @@ from qclone.protocol import (
     prepare_initial,
     reverse_encoding_recovery,
 )
+from qclone.registers import RegisterLayout, RegisterOverflowError
 from qclone.states import (
     STATE_ATOL,
     apply_unitary,
@@ -408,6 +410,27 @@ def _per_string_sum(strings, width):
     return total
 
 
+class _NoStrings:
+    def __getattr__(self, name):
+        raise AssertionError("a Pauli string was built for a refused width")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: encoding_unitary(n, PROTOCOL_T),
+        lambda n: decoding_unitary(n, AlphaCoefficients.standard(n)),
+    ],
+    ids=["encoding_unitary", "decoding_unitary"],
+)
+def test_operators_build_no_pauli_string_for_a_refused_width(monkeypatch, build):
+    # _pauli_sum alone checks the cap, before it draws the first string; at
+    # n = 10^6 the decoder's 16 strings took over a minute to build.
+    monkeypatch.setattr(protocol, "PauliString", _NoStrings())
+    with pytest.raises(RegisterOverflowError):
+        build(10**6)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_operators_equal_their_per_string_matrix_sums(monkeypatch, n):
     # The X-mask scatter adds, entry for entry, what the strings' own
@@ -544,6 +567,23 @@ def test_config_validation():
         ProtocolConfig(n=0)
     with pytest.raises(ProtocolError):
         ProtocolConfig(n=2, t=math.inf)
+
+
+@pytest.mark.parametrize(
+    "build,match",
+    [
+        (lambda: named_state("2"), "unknown state name"),
+        (lambda: encoding_unitary(0, PROTOCOL_T), "need n >= 1"),
+        (lambda: AlphaCoefficients((1, 1j, 1j)), "need 4 phases"),
+        (lambda: AlphaCoefficients((1, 1j, -1j, 1j * (1 + 2e-9))), "not unimodular"),
+        (lambda: decoding_unitary(2, AlphaCoefficients.standard(2), target=3), "outside 1..2"),
+        (lambda: prepare_initial(ProtocolConfig(n=2), basis_state(RegisterLayout.generic(2))),
+         "single-qubit"),
+    ],
+)
+def test_protocol_inputs_are_refused_with_their_own_error(build, match):
+    with pytest.raises(ProtocolError, match=match):
+        build()
 
 
 def test_substitution_refuses_the_target_pair(rng):

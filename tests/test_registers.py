@@ -90,6 +90,9 @@ def test_register_cap_is_enforced_and_adjustable():
         basis_state(RegisterLayout.standard(2))  # 5 qubits: still allowed
     finally:
         set_max_register_qubits(DEFAULT_MAX_QUBITS)
+    with pytest.raises(RegisterError, match="must be positive"):
+        set_max_register_qubits(0)
+    assert max_register_qubits() == DEFAULT_MAX_QUBITS
 
 
 # Each builder of a dense 2^w-square matrix, as a call to make at width w, and

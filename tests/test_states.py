@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import qclone
 from qclone.registers import RegisterLayout
 from qclone.states import (
+    EIG_NEG_TOL,
     DensityOperator,
     StateValidationError,
     StateVector,
@@ -95,6 +96,44 @@ def test_density_operator_validation():
         with pytest.raises(StateValidationError, match=r"is not 2\^w-square"):
             DensityOperator(np.zeros(shape))
     assert DensityOperator(np.eye(4) / 4).num_qubits == 2
+
+
+@pytest.mark.parametrize("factor,accepted", [(0.99, True), (1.01, False)])
+def test_density_operator_refuses_eigenvalues_below_the_negative_tolerance(rng, factor, accepted):
+    lam = -factor * EIG_NEG_TOL
+    u = random_unitary(rng, 2)
+    rho = u @ np.diag([1.0 - lam, lam]) @ u.conj().T
+    rho = (rho + rho.conj().T) / 2
+    assert np.linalg.eigvalsh(rho)[0] == pytest.approx(lam, abs=1e-15)
+    if accepted:
+        DensityOperator(rho)
+    else:
+        with pytest.raises(StateValidationError, match="has eigenvalue"):
+            DensityOperator(rho)
+
+
+def test_the_spectrum_is_solved_once_and_kept_read_only(rng, monkeypatch):
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(mat):
+        calls.append(len(mat))
+        return real(mat)
+
+    def refuse(*args):
+        raise AssertionError("cholesky called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    rho = partial_trace(haar_state(rng, 5), [0, 2, 4])
+    assert calls == [8]
+    von_neumann_entropy(rho)
+    assert calls == [8]
+    assert np.array_equal(rho.spectrum, real(rho.matrix))
+    with pytest.raises(ValueError):
+        rho.spectrum[0] = 0.0
+    with pytest.raises(AttributeError):
+        rho.spectrum = real(rho.matrix)
 
 
 def test_kron_states_checks_the_width_before_allocating(monkeypatch):
@@ -188,6 +227,8 @@ def test_apply_unitary_rejects_bad_targets_and_operators(rng):
         (np.diag([1.0, 2.0]), [0], "not unitary"),
         (np.diag([1.0, 1.0 + 4e-6]), [0], "not unitary"),  # 8e-6 off, > STATE_ATOL
         (np.diag([1.0, np.nan]), [0], "not unitary"),
+        (np.ones((2, 4)), [0], "not square"),
+        (np.eye(3), [0], "not a power of two"),
     ]
     for u, targets, match in bad:
         with pytest.raises(StateValidationError, match=match):
@@ -412,6 +453,11 @@ def test_fidelity_and_trace_distance_extremes():
     rho_one = DensityOperator(np.diag([0.0, 1.0]))
     assert trace_distance(rho_zero, rho_one) == pytest.approx(1.0)
     assert trace_distance(rho_zero, rho_zero) == pytest.approx(0.0, abs=1e-12)
+    two = DensityOperator(np.eye(4) / 4)
+    with pytest.raises(StateValidationError, match="sizes differ"):
+        fidelity_pure(two, zero)
+    with pytest.raises(StateValidationError, match="sizes differ"):
+        trace_distance(rho_zero, two)
 
 
 def haar_state(rng, n: int) -> StateVector:
@@ -449,6 +495,8 @@ def test_reduced_trace_distance_rejects_bad_qubit_sets(rng):
             reduced_trace_distance(a, b, traced)
     with pytest.raises(StateValidationError):
         reduced_trace_distance(a, haar_state(rng, 4), [0])
+    with pytest.raises(StateValidationError, match="keep set must be non-empty"):
+        partial_trace(a, [])
 
 
 def test_purity_and_dominant_eigenvector(rng):

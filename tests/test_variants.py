@@ -146,6 +146,17 @@ def test_plan_rejects_depth_zero():
         plan_iterated_cloning(0)
 
 
+def test_the_tree_refuses_a_wider_input_and_a_qubit_that_is_no_clone():
+    plan = plan_iterated_cloning(1)
+    pair = StateVector(np.eye(4)[0], RegisterLayout.generic(2))
+    with pytest.raises(ProtocolError, match="single-qubit"):
+        execute_iterated_cloning(plan, pair)
+    with pytest.raises(ProtocolError, match="single-qubit"):
+        next(decrypt_clones_from_input(plan, pair, plan.clones))
+    with pytest.raises(ProtocolError, match="not a final-level clone"):
+        plan.ancestry(2)  # the first step's noise qubit
+
+
 @pytest.mark.parametrize("depth", [1, 2])
 def test_every_clone_decrypts_with_its_ancestry_key(depth, rng):
     psi = haar_random_qubit(rng)
