@@ -58,7 +58,7 @@ RUNS = [
         *(["demo", "--n", n, "--psi=+"] for n in ("6", "8", "9")),
         ["demo", "--n", "4", "--psi=0", "--out", "report.json"],
         *(["variants", "--seed", seed] for seed in ("0", "3", "4", "11")),
-        *(["audit", "--n", n] for n in ("1", "2", "4", "5", "6")),
+        *(["audit", "--n", n] for n in ("1", "2", "4", "5", "6", "8")),
         *(["iterate", "--k", k] for k in ("1", "2", "3")),
         ["iterate", "--k", "2", "--seed", "5"],
         ["iterate", "--k", "6"],

@@ -204,11 +204,33 @@ def _unauthorized_sets(n: int) -> dict[str, list[str]]:
     return sets
 
 
+def _pair_swap_asymmetry(state: StateVector, n: int) -> float:
+    """Largest 2-norm by which swapping pairs (S_j, N_j) and (S_j+1, N_j+1) moves ``state``."""
+    top, psi = state.num_qubits - 1, state.amplitudes.reshape([2] * state.num_qubits)
+    axes = [[top - state.layout.index(r(j)) for r in (signal_role, noise_role)] for j in range(1, n + 1)]
+    moved = (np.moveaxis(psi, p + q, q + p) - psi for p, q in zip(axes, axes[1:]))
+    return max((float(np.linalg.norm(m)) for m in moved), default=0.0)
+
+
+def _independence_distances(e0: StateVector, e1: StateVector, n: int) -> dict[str, float]:
+    """Each unauthorized set's bound, solved once per orbit of the pair permutations: the
+    sets keeping m noise halves, and the noise register.  A permutation is at most
+    L = n(n-1)/2 adjacent swaps, each moving e_x by at most eps_x, so with unit-norm F_x a
+    set's bound is within 2 sqrt(d) L (eps_0 + eps_1) of its representative's; that is added."""
+    slack = n * (n - 1) * (_pair_swap_asymmetry(e0, n) + _pair_swap_asymmetry(e1, n))
+    sets, noise = _unauthorized_sets(n), {noise_role(j) for j in range(1, n + 1)}
+    orbit = {label: len(noise.intersection(roles)) for label, roles in sets.items()}
+    reps = {m: label for label, m in orbit.items()}  # any member stands for its orbit
+    bound = {m: _input_dependence_bound(e0, e1, e0.layout.indices(sets[r])) for m, r in reps.items()}
+    return {label: bound[orbit[label]] + math.sqrt(2 ** len(sets[label])) * slack for label in sets}
+
+
 def encryption_audit(n: int) -> dict:
     """Check that no unauthorized subsystem learns anything about the input.
 
     Returns the body of the ``audit`` report: ``n``, ``marginal_deviations``,
-    ``independence_distances`` and ``checks``.
+    ``independence_distances`` and ``checks``.  The n * 2^(n-1) + 1 unauthorized
+    sets take n + 1 linearity bounds on the |0> and |1> encodings, one per orbit.
 
     With a single pair (n=1) the clone's marginal retains a dependence on the
     input — the audit measures and reports that failure rather than hiding it.
@@ -225,10 +247,7 @@ def encryption_audit(n: int) -> dict:
     watched = [ROLE_DATA] + [signal_role(i) for i in range(1, n + 1)]
     marginal_deviations = {role: deviation([role]) for role in watched}
     e0, e1 = encoded[:2]  # the probes lead with |0> and |1>
-    independence_distances = {
-        label: _input_dependence_bound(e0, e1, layout.indices(roles))
-        for label, roles in _unauthorized_sets(n).items()
-    }
+    independence_distances = _independence_distances(e0, e1, n)
     noise_dev = deviation([noise_role(j) for j in range(1, n + 1)])
 
     signal_dev = max(marginal_deviations[signal_role(i)] for i in range(1, n + 1))

@@ -38,7 +38,7 @@ from qclone.registers import (
     noise_role,
     signal_role,
 )
-from qclone.states import partial_trace, trace_distance
+from qclone.states import apply_unitary, partial_trace, trace_distance
 
 # Fixed spot value of the curve, computed once from the closed-form spectrum
 # (cos^4, sin^2 cos^2, sin^4, sin^2 cos^2) at t = pi/8 and pinned here.
@@ -301,9 +301,9 @@ def test_audit_takes_no_spectrum_beyond_a_single_pair(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_audit_makes_one_bound_per_set_and_six_reductions_per_watched_block(n, monkeypatch):
-    """n * 2^(n-1) + 1 set bounds; six probe reductions for each of the n + 2
-    watched blocks (the data qubit, every signal qubit, the noise register);
-    no trace distance."""
+    """n + 1 set bounds, one per pair-permutation orbit of the n * 2^(n-1) + 1
+    unauthorized sets; six probe reductions for each of the n + 2 watched blocks
+    (the data qubit, every signal qubit, the noise register); no trace distance."""
     calls = dict.fromkeys(["_input_dependence_bound", "partial_trace", "trace_distance"], 0)
 
     def counting(name, real):
@@ -315,12 +315,54 @@ def test_audit_makes_one_bound_per_set_and_six_reductions_per_watched_block(n, m
     for name in calls:
         monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
     encryption_audit(n)
-    assert list(calls.values()) == [n * 2 ** (n - 1) + 1, 6 * (n + 2), 0]
+    assert list(calls.values()) == [n + 1, 6 * (n + 2), 0]
+
+
+def _rotated_on_noise_qubit(state, j: int, angle: float):
+    """``state`` with a Y rotation by ``angle`` on the noise qubit of pair ``j``."""
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    return apply_unitary(state, np.array([[c, -s], [s, c]]), [state.layout.noise(j)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_orbit_bounds_cover_every_set_of_an_asymmetric_encoding(n):
+    """With one pair of the |0> encoding rotated, the pair swaps measure a
+    non-zero asymmetry and no label's value falls below its own set's bound."""
+    layout, encoded = _encoded_probes(n)
+    e0, e1 = _rotated_on_noise_qubit(encoded[0], 2, 1e-3), encoded[1]
+    assert analysis._pair_swap_asymmetry(encoded[0], n) == 0.0
+    assert analysis._pair_swap_asymmetry(e0, n) > 1e-4
+    distances = analysis._independence_distances(e0, e1, n)
+    sets = _unauthorized_sets(n)
+    assert distances.keys() == sets.keys()
+    for label, roles in sets.items():
+        assert distances[label] >= input_dependence_bound(e0, e1, layout.indices(roles)), label
+
+
+def test_audit_fails_when_one_pair_is_rotated_by_a_micro_radian(monkeypatch):
+    real_encode = analysis.encode
+    probes = iter(range(6))  # the first probe is |0>
+
+    def encode_rotating_the_first_probe(state, cfg):
+        encoded = real_encode(state, cfg)
+        return encoded if next(probes) else _rotated_on_noise_qubit(encoded, 2, 1e-6)
+
+    monkeypatch.setattr(analysis, "encode", encode_rotating_the_first_probe)
+    by_name = {c.name: c for c in encryption_audit(3)["checks"]}
+    assert not by_name["unauthorized-sets-input-independent"].passed
+
+
+def _audit_passes_through_the_cli(n: int, capsys):
+    assert cli.main(["audit", "--n", str(n)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"]
+    assert len(report["independence_distances"]) == n * 2 ** (n - 1) + 1
+    assert max(report["independence_distances"].values()) < 1e-14
 
 
 def test_audit_passes_at_six_pairs_through_the_cli(capsys):
-    assert cli.main(["audit", "--n", "6"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["passed"]
-    assert len(report["independence_distances"]) == 6 * 2**5 + 1
-    assert max(report["independence_distances"].values()) < 1e-14
+    _audit_passes_through_the_cli(6, capsys)
+
+
+def test_audit_passes_at_eight_pairs_through_the_cli(capsys):
+    _audit_passes_through_the_cli(8, capsys)
