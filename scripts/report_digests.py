@@ -57,6 +57,9 @@ RUNS = [
         ["demo", "--n", "2", "--psi=+", "--t", "0.7853981634274483"],  # pi/4 + 3e-11, refused
         *(["demo", "--n", n, "--psi=+"] for n in ("6", "8", "9")),
         ["demo", "--n", "4", "--psi=0", "--out", "report.json"],
+        ["demo", "--n", "3", "--psi", "0.6,0.8"],  # amplitudes: a real pair
+        ["demo", "--n", "2", "--psi", "0.5,0.5,-0.5,0.5"],  # and re,im pairs
+        ["demo", "--n", "2", "--psi", "1e308,1e308"],  # whose norm overflows unscaled
         *(["variants", "--seed", seed] for seed in ("0", "3", "4", "11")),
         *(["audit", "--n", n] for n in ("1", "2", "4", "5", "6", "8")),
         *(["iterate", "--k", k] for k in ("1", "2", "3")),
@@ -69,8 +72,10 @@ RUNS = [
         ["compile", "--n", "7", "--what", "both", "--out", "."],
         ["compile", "--n", "7", "--t", "0.3", "--what", "enc", "--out", "."],
         ["compile", "--n", "9", "--out", "."],
-        # pi/4 + 2e-12: the decoder's block phases sit up to 8e-12 off the unit circle
-        ["compile", "--n", "3", "--t", "0.7853981633994482", "--what", "dec", "--out", "."],
+        ["compile", "--n", "1", "--what", "both", "--out", "."],  # encoder written, decoder refused
+        # pi/4 + 2e-12: c_0/c_mu sit up to 8e-12 off the unit circle, and are projected onto it
+        *(["compile", "--n", n, "--t", "0.7853981633994482", "--what", "dec", "--out", "."]
+          for n in ("3", "4")),
     ]),
     *((c, argv) for argv, cap in _EDGES for c in (cap, cap - 1)),
 ]

@@ -41,9 +41,10 @@ from .states import (
 )
 from .protocol import (
     BELL_PHI,
+    PAULI_EIGENSTATE_AMPLITUDES,
     ProtocolConfig,
-    default_probe_states,
     encode,
+    named_state,
     prepare_initial,
 )
 
@@ -237,7 +238,10 @@ def encryption_audit(n: int) -> dict:
     """
     cfg = ProtocolConfig(n=n)
     layout = cfg.layout()
-    encoded = [encode(prepare_initial(cfg, psi), cfg) for psi in default_probe_states()]
+    zero, one, *rest = map(named_state, PAULI_EIGENSTATE_AMPLITUDES)
+    e0, e1 = (encode(prepare_initial(cfg, psi), cfg) for psi in (zero, one))
+    encoded = [e0, e1] + [StateVector(a * e0.amplitudes + b * e1.amplitudes, layout)
+                          for a, b in (psi.amplitudes for psi in rest)]  # by linearity
 
     def deviation(roles) -> float:
         """Largest entry deviation of any probe's reduction to ``roles`` from I/d."""
@@ -246,7 +250,6 @@ def encryption_audit(n: int) -> dict:
 
     watched = [ROLE_DATA] + [signal_role(i) for i in range(1, n + 1)]
     marginal_deviations = {role: deviation([role]) for role in watched}
-    e0, e1 = encoded[:2]  # the probes lead with |0> and |1>
     independence_distances = _independence_distances(e0, e1, n)
     noise_dev = deviation([noise_role(j) for j in range(1, n + 1)])
 

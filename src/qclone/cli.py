@@ -432,41 +432,31 @@ def cmd_iterate(args) -> int:
 
 def cmd_variants(args) -> int:
     psi, psi_desc = parse_psi(None, args.seed)
+
+    def fidelity(undo, n: int, **config) -> float:
+        """Encode ``psi`` with n pairs, undo the encoding with ``undo``, read the fidelity."""
+        config = ProtocolConfig(n=n, **config)
+        return undo(encode(prepare_initial(config, psi), config), config, reference=psi).fidelity
+
     checks: list[Check] = []
-
     for n, lost in ((2, (2,)), (3, (2, 3))):
-        config = ProtocolConfig(n=n)
-        state = encode(prepare_initial(config, psi), config)
-        out = decrypt_with_substitution(state, config, lost, target=1, reference=psi)
+        substitution = functools.partial(decrypt_with_substitution, lost_noise=lost)
         lost_label = "".join(f"N{j}" for j in lost)
-        checks.append(check(f"substitution-n{n}-lost-{lost_label}", out.fidelity))
-
+        checks.append(check(f"substitution-n{n}-lost-{lost_label}", fidelity(substitution, n)))
     for n in (2, 4):
-        config = ProtocolConfig(n=n)
-        state = encode(prepare_initial(config, psi), config)
-        out = decrypt_from_A(state, config, reference=psi)
-        checks.append(check(f"data-side-decrypt-n{n}", out.fidelity))
-
-    config3 = ProtocolConfig(n=3)
-    state3 = encode(prepare_initial(config3, psi), config3)
+        checks.append(check(f"data-side-decrypt-n{n}", fidelity(decrypt_from_A, n)))
     try:
-        decrypt_from_A(state3, config3)
+        fidelity(decrypt_from_A, 3)
         rejected = False
     except OddCloneCountError:
         rejected = True
     checks.append(check("data-side-decrypt-odd-n-rejected", rejected))
-
-    for n in (1, 2, 3):
-        config = ProtocolConfig(n=n, t=0.6)  # any angle: plain un-encoding
-        state = encode(prepare_initial(config, psi), config)
-        out = reverse_encoding_recovery(state, config, reference=psi)
-        checks.append(check(f"reverse-encoding-n{n}", out.fidelity))
-
+    for n in (1, 2, 3):  # any angle: plain un-encoding
+        recovered = fidelity(reverse_encoding_recovery, n, t=0.6)
+        checks.append(check(f"reverse-encoding-n{n}", recovered))
     for n in (2, 3):
-        config = ProtocolConfig(n=n, variant=Variant.ROTATED_X2)
-        state = encode(prepare_initial(config, psi), config)
-        out = decrypt(state, config, target=1, reference=psi)
-        checks.append(check(f"rotated-variant-n{n}", out.fidelity))
+        rotated = fidelity(decrypt, n, variant=Variant.ROTATED_X2)
+        checks.append(check(f"rotated-variant-n{n}", rotated))
 
     plan = plan_iterated_cloning(1)
     worst = min(out.fidelity for out in decrypt_clones_from_input(plan, psi, plan.clones))

@@ -86,6 +86,7 @@ def principal_sqrt_2x2(u) -> np.ndarray:
     u = check_unitary(u)
     if u.shape != (2, 2):
         raise CompileError(f"need a 2x2 unitary, got {u.shape}")
+    u = u @ (3 * np.eye(2) - u.conj().T @ u) / 2  # nearest unitary, to ~1e-20: v squares to it
     if (
         abs(u[0, 1]) < 1e-14
         and abs(u[1, 0]) < 1e-14
@@ -93,7 +94,6 @@ def principal_sqrt_2x2(u) -> np.ndarray:
     ):
         root = cmath.exp(0.5j * cmath.phase(u[0, 0]))
         v = root * np.eye(2, dtype=np.complex128)
-        u = u / abs(u[0, 0])  # v squares to this unimodular projection of the scalar
     else:
         theta = cmath.phase(np.linalg.det(u)) / 2.0
         su = u * cmath.exp(-1j * theta)

@@ -42,7 +42,7 @@ from .states import (
     single_qubit,
 )
 
-ANGLE_ATOL = 1e-11  # offset from pi/4 + m*pi/2; decoders stay unitary to about 1.5e-11
+ANGLE_ATOL = 1e-11  # offset from pi/4 + m*pi/2; the decoder undoes the encoder there to 2e-11
 
 
 class ProtocolError(QcloneError):
@@ -153,11 +153,6 @@ def named_state(name: str) -> StateVector:
     return single_qubit(a0, a1)
 
 
-def default_probe_states() -> list[StateVector]:
-    """The six Pauli eigenstates — tomographically complete probe set."""
-    return [named_state(k) for k in ("0", "1", "+", "-", "+i", "-i")]
-
-
 # ---------------------------------------------------------------------------
 # encoder
 
@@ -225,7 +220,7 @@ def is_accepted_decrypt_angle(t: float) -> bool:
 
 @dataclass(frozen=True)
 class AlphaCoefficients:
-    """Unimodular decoder phases, one per Pauli index."""
+    """Decoder phases, one per Pauli index: each within 1e-9 of the unit circle, kept on it."""
 
     values: tuple[complex, complex, complex, complex]
 
@@ -236,7 +231,7 @@ class AlphaCoefficients:
         for v in vals:
             if abs(abs(v) - 1.0) > 1e-9:
                 raise ProtocolError(f"decoder phase {v} is not unimodular")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(v / abs(v) for v in vals))
 
     def __getitem__(self, mu: int) -> complex:
         return self.values[mu]
@@ -387,6 +382,8 @@ def decrypt_with_substitution(
     ``S_j`` untransposed, which flips the sign of alpha_2 once per lost qubit.
     The target pair's own noise qubit cannot be substituted.
     """
+    if not 1 <= target <= config.n:
+        raise ProtocolError(f"target {target} outside 1..{config.n}")
     lost = frozenset(int(j) for j in lost_noise)
     if not lost <= set(range(1, config.n + 1)):
         raise ProtocolError(f"lost set {sorted(lost)} outside pairs 1..{config.n}")

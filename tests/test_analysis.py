@@ -25,10 +25,11 @@ from qclone.analysis import (
     sweep_coherent_information,
 )
 from qclone.protocol import (
+    PAULI_EIGENSTATE_AMPLITUDES,
     ProtocolConfig,
     bell_projector,
-    default_probe_states,
     encode,
+    named_state,
     prepare_initial,
 )
 from qclone.registers import (
@@ -239,7 +240,8 @@ def test_audit_counts_unauthorized_sets():
 
 def _encoded_probes(n: int):
     cfg = ProtocolConfig(n=n)
-    return cfg.layout(), [encode(prepare_initial(cfg, psi), cfg) for psi in default_probe_states()]
+    probes = [named_state(k) for k in PAULI_EIGENSTATE_AMPLITUDES]
+    return cfg.layout(), [encode(prepare_initial(cfg, psi), cfg) for psi in probes]
 
 
 def _six_probe_distance(encoded, keep) -> float:
@@ -316,6 +318,21 @@ def test_audit_makes_one_bound_per_set_and_six_reductions_per_watched_block(n, m
         monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
     encryption_audit(n)
     assert list(calls.values()) == [n + 1, 6 * (n + 2), 0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_audit_encodes_only_zero_and_one(n, monkeypatch):
+    """The encoder is linear, so the other four probes are combined from the two encodings."""
+    inputs = []
+
+    def spy(state, config):
+        inputs.append(partial_trace(state, [state.layout.data]).matrix)
+        return encode(state, config)
+
+    monkeypatch.setattr(analysis, "encode", spy)
+    encryption_audit(n)
+    assert len(inputs) == 2
+    np.testing.assert_allclose(inputs, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], atol=1e-15)
 
 
 def _rotated_on_noise_qubit(state, j: int, angle: float):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -591,6 +592,21 @@ def test_substitution_refuses_the_target_pair(rng):
     state = encode(prepare_initial(config, haar_random_qubit(rng)), config)
     with pytest.raises(KeyMaterialError):
         decrypt_with_substitution(state, config, lost_noise=[1], target=1)
+
+
+@pytest.mark.parametrize(
+    "undo",
+    [decrypt, functools.partial(decrypt_with_substitution, lost_noise=())],
+    ids=["decrypt", "decrypt_with_substitution"],
+)
+@pytest.mark.parametrize("n, target", [(n, t) for n in (2, 3) for t in (0, -1, n + 1)])
+def test_decrypt_refuses_a_target_outside_the_clones(undo, n, target):
+    """Target 0 would name the data qubit, undone without decrypt_from_A's even-n check."""
+    config = ProtocolConfig(n=n)
+    psi = named_state("+i")
+    state = encode(prepare_initial(config, psi), config)
+    with pytest.raises(ProtocolError, match=f"target {target} outside 1..{n}"):
+        undo(state, config, target=target, reference=psi)
 
 
 @settings(max_examples=15, deadline=None)

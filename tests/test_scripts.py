@@ -76,12 +76,12 @@ def _report_digests():
 
 
 def test_report_digests_hash_written_files_by_name_and_set_the_cap(monkeypatch):
-    """``report_digests.py`` covers 80 distinct argvs; both digests change with the
+    """``report_digests.py`` covers 85 distinct argvs; both digests change with the
     name of a written file, and a capped run is refused under its cap only."""
     digests = _report_digests()
     monkeypatch.delenv(digests.CAP, raising=False)
     runs = digests.RUNS
-    assert len({(cap, tuple(argv)) for cap, argv in runs}) == len(runs) == 80
+    assert len({(cap, tuple(argv)) for cap, argv in runs}) == len(runs) == 85
     demo = ["demo", "--n", "1", "--psi=0"]
     lines = [digests.digest_line(None, [*demo, "--out", name]) for name in ("a.json", "b.json")]
     assert [line.split()[0] for line in lines] == ["0", "0"]
