@@ -19,7 +19,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .claims import FORMULA_SIM_ATOL, check
+from .claims import FORMULA_SIM_ATOL, SPECTRUM_SUM_ATOL, check
 from .registers import (
     ROLE_DATA,
     ROLE_REFERENCE,
@@ -61,7 +61,7 @@ class LambdaSpectrum:
     values: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
-        if abs(sum(self.values) - 1.0) > 1e-12 or any(v < 0 for v in self.values):
+        if abs(sum(self.values) - 1.0) > SPECTRUM_SUM_ATOL or any(v < 0 for v in self.values):
             raise AnalysisError(f"not a probability spectrum: {self.values}")
 
     @classmethod

@@ -15,9 +15,9 @@ from enum import Enum
 
 import numpy as np
 
-from .claims import CIRCUIT_EQUIV_ATOL
+from .claims import CIRCUIT_EQUIV_ATOL, PIVOT_ZERO, QASM_PHASE_ZERO, ZYZ_ZERO
 from .registers import QcloneError, check_register_size
-from .states import StateVector, _apply, _contract, check_unitary
+from .states import StateVector, _apply, _contract, _nearest_unitary, check_unitary
 
 # Most wires one fused block of consecutive gates may touch.  A pass over the
 # 2^n batch moves its axes once and does 2^k multiply-adds per entry, so
@@ -204,7 +204,8 @@ def _apply_to_halves(g: Gate, lo: np.ndarray, hi: np.ndarray) -> None:
 
 def apply_circuit(state: StateVector, circuit: GateCircuit, wire_map=None) -> StateVector:
     """Run the circuit on a register; ``wire_map[w]`` is the physical qubit of wire w.
-    Each fused block is checked unitary, then all are swept in one pass."""
+    Each fused block takes one step toward the nearest unitary, so that the small errors
+    its gates were admitted with do not add up, and is checked; then all are swept at once."""
     if wire_map is None:
         wire_map = list(range(circuit.num_qubits))
     wire_map = [int(q) for q in wire_map]
@@ -212,7 +213,7 @@ def apply_circuit(state: StateVector, circuit: GateCircuit, wire_map=None) -> St
         raise CircuitError("wire map length must match circuit width")
     if len(set(wire_map)) != len(wire_map):
         raise CircuitError(f"wire map {wire_map} repeats a qubit")
-    return _apply(state, [(check_unitary(u), [wire_map[w] for w in wires])
+    return _apply(state, [(check_unitary(_nearest_unitary(u)), [wire_map[w] for w in wires])
                           for u, wires in _fused_blocks(circuit)])
 
 
@@ -241,7 +242,7 @@ def equivalence_up_to_global_phase(u, v) -> EquivalenceResult:
     if u.shape != v.shape or u.ndim != 2:
         raise CircuitError(f"shape mismatch: {u.shape} vs {v.shape}")
     pivot = np.vdot(v, u)
-    if abs(pivot) < 1e-14:
+    if abs(pivot) < PIVOT_ZERO:
         return EquivalenceResult(False, 1.0 + 0j, float(np.abs(u - v).max()))
     phase = pivot / abs(pivot)
     dev = float(np.abs(phase * v - u).max())  # subtracting into the product's buffer
@@ -332,11 +333,11 @@ def zyz_angles(u) -> tuple[float, float, float, float]:
     alpha = cmath.phase(det) / 2.0
     su = u * cmath.exp(-1j * alpha)
     gamma = 2.0 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
-    if abs(su[0, 0]) > 1e-12:
+    if abs(su[0, 0]) > ZYZ_ZERO:
         sum_phase = -2.0 * cmath.phase(su[0, 0])  # beta + delta
     else:
         sum_phase = 0.0
-    if abs(su[1, 0]) > 1e-12:
+    if abs(su[1, 0]) > ZYZ_ZERO:
         diff_phase = 2.0 * cmath.phase(su[1, 0])  # beta - delta
     else:
         diff_phase = 0.0
@@ -349,7 +350,7 @@ def controlled_u_qasm_lines(control: int, target: int, u) -> list[str]:
     """Lower a controlled 2x2 unitary to qelib1 gates (ABC decomposition)."""
     alpha, beta, gamma, delta = zyz_angles(u)
     lines: list[str] = []
-    if abs(alpha) > 1e-15:
+    if abs(alpha) > QASM_PHASE_ZERO:
         lines.append(f"u1({_fmt_float(alpha)}) q[{control}];")
     # C = Rz((delta-beta)/2), B = Ry(-gamma/2) Rz(-(delta+beta)/2), A = Rz(beta) Ry(gamma/2)
     lines.append(f"rz({_fmt_float((delta - beta) / 2)}) q[{target}];")

@@ -9,7 +9,9 @@ threshold and how a measured value is compared with it.  The comparisons are
 - ``==``: a count against its closed form (``4n``, ``15n + 7``, ``3^k``);
 - ``holds``: a verdict with no number.
 
-The acceptance tests keep their own literal bounds as the independent check.
+Every tolerance of the program is defined here too: the report thresholds, then
+the engine's windows and cuts, each with what it feeds.  The acceptance tests
+keep their own literal bounds as the independent check.
 """
 from __future__ import annotations
 
@@ -17,12 +19,25 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Callable
 
-RECOVERY_ATOL = 1e-10
-ITERATED_ATOL = 1e-9
-ENCRYPTION_ATOL = 1e-10
-NOISE_EXACT_ATOL = 1e-12
-CIRCUIT_EQUIV_ATOL = 1e-8
-FORMULA_SIM_ATOL = 1e-9
+# Report thresholds: each check's measured value is compared with one of these.
+RECOVERY_ATOL = 1e-10  # demo recovery and key consumption, variants fidelities
+ITERATED_ATOL = 1e-9  # iterate, variants' iterated check
+ENCRYPTION_ATOL = 1e-10  # demo marginals, audit
+NOISE_EXACT_ATOL = 1e-12  # audit's untouched noise register
+CIRCUIT_EQUIV_ATOL = 1e-8  # compile equivalence checks
+FORMULA_SIM_ATOL = 1e-9  # sweep: simulated against closed-form curve
+
+# Engine tolerances: input windows, self-checks and zero cuts.
+STATE_ATOL = 1e-10  # states: norm, Hermiticity, trace and unitarity windows
+EIG_NEG_TOL = 1e-10  # states.DensityOperator: eigenvalues below -EIG_NEG_TOL refuse the matrix
+EIG_CLAMP = 1e-12  # states.shannon_entropy: eigenvalues up to EIG_CLAMP add 0
+ANGLE_ATOL = 1e-11  # protocol: accepted offset from pi/4 + m*pi/2, where decoders undo to 2e-11
+PHASE_ATOL = 1e-9  # protocol.AlphaCoefficients: a phase's distance from the unit circle
+SQRT_ATOL = 1e-12  # compiler.principal_sqrt_2x2: the root's square against its input
+SPECTRUM_SUM_ATOL = 1e-12  # analysis.LambdaSpectrum: the eigenvalues' sum against 1
+PIVOT_ZERO = 1e-14  # circuits.equivalence_up_to_global_phase: |tr(v+ u)| below reads as no phase
+ZYZ_ZERO = 1e-12  # circuits.zyz_angles: an entry below carries no phase
+QASM_PHASE_ZERO = 1e-15  # circuits.controlled_u_qasm_lines: a global phase below emits no u1
 
 
 def encoding_two_qubit_gates(n: int) -> int:

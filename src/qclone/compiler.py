@@ -28,10 +28,11 @@ from .circuits import (
     gate_rz,
     gate_x,
 )
+from .claims import SQRT_ATOL
 from .paulis import SIGMA
 from .protocol import AlphaCoefficients, Variant
 from .registers import QcloneError
-from .states import check_unitary
+from .states import _nearest_unitary, check_unitary
 
 
 class CompileError(QcloneError):
@@ -82,38 +83,19 @@ def compile_encoding(
 
 
 def principal_sqrt_2x2(u) -> np.ndarray:
-    """Deterministic square root of a 2x2 unitary (spectral, principal-style)."""
+    """Square root of a 2x2 unitary, one closed form for every input.  By Cayley-Hamilton,
+    v = (u + sI)/sqrt(tr u + 2s) squares to u for either root s of det u; the s that makes
+    |tr u + 2s| the larger of |tr u +- 2s| keeps it at least 2, so the division is safe."""
     u = check_unitary(u)
     if u.shape != (2, 2):
         raise CompileError(f"need a 2x2 unitary, got {u.shape}")
-    u = u @ (3 * np.eye(2) - u.conj().T @ u) / 2  # nearest unitary, to ~1e-20: v squares to it
-    if (
-        abs(u[0, 1]) < 1e-14
-        and abs(u[1, 0]) < 1e-14
-        and abs(u[0, 0] - u[1, 1]) < 1e-14
-    ):
-        root = cmath.exp(0.5j * cmath.phase(u[0, 0]))
-        v = root * np.eye(2, dtype=np.complex128)
-    else:
-        theta = cmath.phase(np.linalg.det(u)) / 2.0
-        su = u * cmath.exp(-1j * theta)
-        # su = cos(phi) I - i sin(phi) (n . sigma) with a real axis vector n
-        cos_phi = ((su[0, 0] + su[1, 1]) / 2.0).real
-        axis = np.array(
-            [
-                (1j * (su[0, 1] + su[1, 0]) / 2.0).real,
-                ((su[1, 0] - su[0, 1]) / 2.0).real,
-                (1j * (su[0, 0] - su[1, 1]) / 2.0).real,
-            ]
-        )
-        sin_phi = float(np.linalg.norm(axis))
-        phi = math.atan2(sin_phi, cos_phi)
-        nhat = axis / sin_phi
-        n_dot_sigma = sum(nhat[k] * SIGMA[k + 1] for k in range(3))
-        v = cmath.exp(1j * theta / 2.0) * (
-            math.cos(phi / 2.0) * np.eye(2) - 1j * math.sin(phi / 2.0) * n_dot_sigma
-        )
-    if not np.abs(v @ v - u).max() <= 1e-12:
+    u = _nearest_unitary(u)  # to ~1e-20 for an input within STATE_ATOL: v squares to it
+    s = cmath.sqrt(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])
+    tr = u[0, 0] + u[1, 1]
+    if abs(tr - 2 * s) > abs(tr + 2 * s):
+        s = -s
+    v = (u + s * np.eye(2)) / cmath.sqrt(tr + 2 * s)
+    if not np.abs(v @ v - u).max() <= SQRT_ATOL:
         raise CompileError("square-root construction failed to reproduce u")
     return v
 

@@ -29,6 +29,7 @@ from enum import Enum
 
 import numpy as np
 
+from .claims import ANGLE_ATOL, PHASE_ATOL
 from .paulis import SIGMA, PauliString
 from .registers import QcloneError, RegisterLayout, check_register_size
 from .states import (
@@ -41,8 +42,6 @@ from .states import (
     partial_trace,
     single_qubit,
 )
-
-ANGLE_ATOL = 1e-11  # offset from pi/4 + m*pi/2; the decoder undoes the encoder there to 2e-11
 
 
 class ProtocolError(QcloneError):
@@ -220,7 +219,7 @@ def is_accepted_decrypt_angle(t: float) -> bool:
 
 @dataclass(frozen=True)
 class AlphaCoefficients:
-    """Decoder phases, one per Pauli index: each within 1e-9 of the unit circle, kept on it."""
+    """Decoder phases, one per Pauli index: each within PHASE_ATOL of the unit circle, put on it."""
 
     values: tuple[complex, complex, complex, complex]
 
@@ -229,7 +228,7 @@ class AlphaCoefficients:
         if len(vals) != 4:
             raise ProtocolError(f"need 4 phases, got {len(vals)}")
         for v in vals:
-            if abs(abs(v) - 1.0) > 1e-9:
+            if abs(abs(v) - 1.0) > PHASE_ATOL:
                 raise ProtocolError(f"decoder phase {v} is not unimodular")
         object.__setattr__(self, "values", tuple(v / abs(v) for v in vals))
 

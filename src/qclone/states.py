@@ -21,14 +21,8 @@ from math import frexp, log2, prod
 
 import numpy as np
 
+from .claims import EIG_CLAMP, EIG_NEG_TOL, STATE_ATOL
 from .registers import QcloneError, RegisterLayout, check_register_size
-
-STATE_ATOL = 1e-10
-# Eigenvalues in [-EIG_NEG_TOL, EIG_CLAMP] are treated as exact zeros when
-# taking entropies; anything below -EIG_NEG_TOL means the operator is not a
-# state and is rejected.
-EIG_CLAMP = 1e-12
-EIG_NEG_TOL = 1e-10
 
 
 class StateValidationError(QcloneError):
@@ -162,6 +156,13 @@ def check_unitary(u) -> np.ndarray:
     if not np.abs(u.conj().T @ u - np.eye(dim)).max() <= STATE_ATOL:
         raise StateValidationError("operator is not unitary")
     return u
+
+
+def _nearest_unitary(u: np.ndarray) -> np.ndarray:
+    """One Newton-Schulz step, u(3I - u+u)/2, toward the nearest unitary: an input e off
+    unitary lands about 1.5 e^2 off, so a product of many operators that
+    :func:`check_unitary` admits passes it again.  If u+u is exactly I, u comes back."""
+    return u @ (3 * np.eye(len(u)) - u.conj().T @ u) / 2
 
 
 def _contract(tensor: np.ndarray, ops, n: int) -> np.ndarray:

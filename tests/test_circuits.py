@@ -255,6 +255,20 @@ def test_apply_circuit_checks_each_fused_block_once(rng, monkeypatch):
     assert len(calls["_apply"]) == 1 and len(calls["_apply"][0][1]) == blocks
 
 
+@pytest.mark.parametrize("depth", [2, 5, 50, 500])
+def test_apply_circuit_runs_gates_each_admitted_near_unitary(depth):
+    """Each gate is 9e-11 off unitary, inside check_unitary's window; fused, a block
+    of them is further off, and is projected before its check rather than refused."""
+    u = np.diag([1.0, 1j]) * (1 + 4.5e-11)
+    circuit = GateCircuit(tuple(gate_cu(0, 1, u) for _ in range(depth)), 2)
+    state = StateVector(np.full(4, 0.5), RegisterLayout.generic(2))
+    for c in (circuit, parse_circuit_text(export_circuit(circuit, "TEXT"))):
+        out = apply_circuit(state, c)
+        assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-15
+        phase = 1j**depth
+        assert np.allclose(out.amplitudes, [0.5, 0.5, 0.5, 0.5 * phase], rtol=0, atol=1e-7)
+
+
 def test_apply_circuit_rejects_short_wire_map():
     circuit = GateCircuit((gate_cnot(0, 1),), 2)
     state = basis_state(RegisterLayout.generic(2))

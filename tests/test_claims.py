@@ -1,7 +1,10 @@
 """The claim registry: every report check is judged and described by it."""
 
+import ast
+import io
 import json
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -21,9 +24,6 @@ REPORT_ARGVS = [
     ("iterate", "--k", "1", "--psi=1"),
     ("variants", "--seed", "2"),
 ]
-
-# Tolerances of the numerical engine, not of a report.
-ENGINE_ATOLS = {"STATE_ATOL", "ANGLE_ATOL"}
 
 
 def _pattern(name: str) -> str:
@@ -134,8 +134,8 @@ def test_report_thresholds_are_defined_only_in_the_registry():
     for path in sorted(src.glob("*.py")):
         for name in re.findall(r"^([A-Z_]*_ATOL)\s*=", path.read_text(), re.MULTILINE):
             found.setdefault(name, []).append(path.name)
-    outside = {k: v for k, v in found.items() if v != ["claims.py"] and k not in ENGINE_ATOLS}
-    assert not outside, f"report thresholds defined outside claims.py: {outside}"
+    outside = {k: v for k, v in found.items() if v != ["claims.py"]}
+    assert not outside, f"tolerances defined outside claims.py: {outside}"
     assert {k for k, v in found.items() if v == ["claims.py"]} >= {
         "RECOVERY_ATOL",
         "ITERATED_ATOL",
@@ -143,4 +143,24 @@ def test_report_thresholds_are_defined_only_in_the_registry():
         "NOISE_EXACT_ATOL",
         "CIRCUIT_EQUIV_ATOL",
         "FORMULA_SIM_ATOL",
+        "STATE_ATOL",
+        "ANGLE_ATOL",
+        "PHASE_ATOL",
+        "SQRT_ATOL",
+        "SPECTRUM_SUM_ATOL",
     }
+
+
+def test_no_tolerance_literal_outside_the_registry():
+    """Every number below 1e-6 in the program is a named tolerance in claims.py;
+    comments and strings may quote values, code may not."""
+    src = Path(qclone.__file__).parent
+    literals = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "claims.py":
+            continue
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        for tok in tokens:
+            if tok.type == tokenize.NUMBER and 0 < abs(ast.literal_eval(tok.string)) < 1e-6:
+                literals.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert not literals, f"tolerance literals outside claims.py: {literals}"

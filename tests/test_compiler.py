@@ -63,8 +63,8 @@ def test_principal_sqrt_squares_back(seed):
 
 @pytest.mark.parametrize("phase", [0.0, math.pi / 2, math.pi, -math.pi / 2, 2.5])
 def test_principal_sqrt_of_scalar_matrices(phase):
-    # Scalar multiples of the identity have no Bloch axis; they take the
-    # dedicated branch.  -I in particular shows up as a decoder block phase.
+    # Scalar multiples of the identity have no Bloch axis; the closed form
+    # needs none.  -I in particular shows up as a decoder block phase.
     u = np.exp(1j * phase) * np.eye(2)
     v = principal_sqrt_2x2(u)
     assert np.allclose(v @ v, u, atol=1e-12)
@@ -196,7 +196,7 @@ def test_v_tilde_inverse_gates_are_the_exact_adjoint():
         (2, "standard"),
         (3, "standard"),
         (2, "rotated_x2"),
-        (3, "rotated_x2"),  # alpha_3 = -1 takes the scalar sqrt
+        (3, "rotated_x2"),  # alpha_3 = -1: a block phase of -I, whose root is iI
     ],
 )
 def test_decoder_matches_dense_reference(n, variant):
