@@ -6,10 +6,15 @@ The channel's complementary-output spectrum at interaction time ``t`` is
 
 and the coherent information of the data-to-environment channel is
 ``-sum lambda log2 lambda - 1`` bits, independent of the clone count.  This
-module computes that quantity both from the closed form and from a full
-statevector simulation with a purifying reference, sweeps it over a time
-grid (CSV-exportable), and audits the perfect-encryption claims subsystem by
-subsystem.
+module computes that quantity both from the closed form and from a
+statevector simulation, sweeps it over a time grid (CSV-exportable), and
+audits the perfect-encryption claims subsystem by subsystem.
+
+The encoder is linear in the data qubit, so the encodings E_0 and E_1 of |0>
+and |1> carry the whole channel: a|0> + b|1> encodes to a E_0 + b E_1, and a
+reference purifying the maximally mixed input is one more row bit of their
+amplitude matrices.  Both analyses read their reductions off those two
+registers.
 """
 from __future__ import annotations
 
@@ -22,25 +27,21 @@ import numpy as np
 from .claims import FORMULA_SIM_ATOL, SPECTRUM_SUM_ATOL, check
 from .registers import (
     ROLE_DATA,
-    ROLE_REFERENCE,
     QcloneError,
-    RegisterLayout,
     check_register_size,
     noise_role,
     signal_role,
 )
 from .states import (
+    DensityOperator,
     StateVector,
     _split,
     deviation_from_mixed,
-    kron_states,
-    partial_trace,
     shannon_entropy,
     trace_distance,
     von_neumann_entropy,
 )
 from .protocol import (
-    BELL_PHI,
     PAULI_EIGENSTATE_AMPLITUDES,
     ProtocolConfig,
     encode,
@@ -105,30 +106,25 @@ class SweepRow:
         return self.S_marginal - self.S_joint
 
 
-def _purified_register(n: int) -> StateVector:
-    """n + 1 Bell pairs: (REF, A), then every (S_i, N_i).
-
-    The data qubit enters maximally entangled with a purifying reference, on
-    the standard layout with ``REF`` at position 0.
-    """
-    layout = RegisterLayout.standard(n, with_reference=True)
-    return kron_states([BELL_PHI] * (n + 1), layout)
+def _basis_encodings(config: ProtocolConfig) -> tuple[StateVector, StateVector]:
+    """E_0 and E_1, the encodings of |0> and |1> on the standard layout."""
+    return tuple(encode(prepare_initial(config, named_state(x)), config) for x in ("0", "1"))
 
 
 def coherent_information_simulated(n: int, t: float) -> SweepRow:
-    """Simulate the channel with a purifying reference and take entropies.
+    """Simulate the channel on a maximally mixed input and take entropies.
 
-    The joint block is (reference, S1, N1..Nn); dropping the reference gives
-    the marginal block.  Their entropy difference is the coherent information.
+    With F_x the amplitudes of E_x as a (S1, N1..Nn) x (rest) matrix, the
+    marginal block is (F_0 F_0^dagger + F_1 F_1^dagger) / 2, and a reference
+    purifying the input is the top row bit of the joint block, F F^dagger / 2
+    for F = [F_0; F_1].  Their entropy difference is the coherent information.
     """
-    state = encode(_purified_register(n), ProtocolConfig(n=n, t=t))
-    layout = state.layout
-    marginal_roles = [signal_role(1)] + [noise_role(j) for j in range(1, n + 1)]
-    joint_roles = [ROLE_REFERENCE] + marginal_roles
-    s_joint = von_neumann_entropy(partial_trace(state, layout.indices(joint_roles)))
-    s_marginal = von_neumann_entropy(
-        partial_trace(state, layout.indices(marginal_roles))
-    )
+    e0, e1 = _basis_encodings(ProtocolConfig(n=n, t=t))
+    keep = e0.layout.indices([signal_role(1)] + [noise_role(j) for j in range(1, n + 1)])
+    f0, f1 = _split(e0, keep), _split(e1, keep)
+    joint, marginal = np.vstack([f0, f1]), np.hstack([f0, f1])
+    s_joint = von_neumann_entropy(DensityOperator(joint @ joint.conj().T / 2))
+    s_marginal = von_neumann_entropy(DensityOperator(marginal @ marginal.conj().T / 2))
     return SweepRow(t=t, S_joint=s_joint, S_marginal=s_marginal, n=n)
 
 
@@ -238,20 +234,20 @@ def encryption_audit(n: int) -> dict:
     """
     cfg = ProtocolConfig(n=n)
     layout = cfg.layout()
-    zero, one, *rest = map(named_state, PAULI_EIGENSTATE_AMPLITUDES)
-    e0, e1 = (encode(prepare_initial(cfg, psi), cfg) for psi in (zero, one))
-    encoded = [e0, e1] + [StateVector(a * e0.amplitudes + b * e1.amplitudes, layout)
-                          for a, b in (psi.amplitudes for psi in rest)]  # by linearity
+    e0, e1 = _basis_encodings(cfg)
+    probes = [named_state(name).amplitudes for name in PAULI_EIGENSTATE_AMPLITUDES]
 
-    def deviation(roles) -> float:
-        """Largest entry deviation of any probe's reduction to ``roles`` from I/d."""
+    def reductions(roles) -> list[DensityOperator]:
+        """Each probe's reduction to ``roles``: a|0> + b|1> splits as a F_0 + b F_1 by linearity."""
         keep = layout.indices(roles)
-        return max(deviation_from_mixed(partial_trace(s, keep)) for s in encoded)
+        f0, f1 = _split(e0, keep), _split(e1, keep)
+        return [DensityOperator(f @ f.conj().T) for f in (a * f0 + b * f1 for a, b in probes)]
 
     watched = [ROLE_DATA] + [signal_role(i) for i in range(1, n + 1)]
-    marginal_deviations = {role: deviation([role]) for role in watched}
+    marginals = {role: reductions([role]) for role in watched}
+    marginal_deviations = {role: max(map(deviation_from_mixed, rhos)) for role, rhos in marginals.items()}
     independence_distances = _independence_distances(e0, e1, n)
-    noise_dev = deviation([noise_role(j) for j in range(1, n + 1)])
+    noise_dev = max(map(deviation_from_mixed, reductions([noise_role(j) for j in range(1, n + 1)])))
 
     signal_dev = max(marginal_deviations[signal_role(i)] for i in range(1, n + 1))
     checks = [
@@ -262,8 +258,7 @@ def encryption_audit(n: int) -> dict:
     ]
     if n == 1:
         # Single-pair counterexample: the clone leaks the input's Y component.
-        clones = [partial_trace(s, [layout.signal(1)]) for s in encoded]
-        leak = max(trace_distance(a, b) for a, b in combinations(clones, 2))
+        leak = max(trace_distance(a, b) for a, b in combinations(marginals[signal_role(1)], 2))
         checks.append(check("single-pair-clone-leaks-input", leak))
     return {
         "n": n,

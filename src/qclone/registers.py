@@ -6,7 +6,6 @@ about raw positions directly; its layout is the tuple of *role* names, one
 per position:
 
 ``A``            the data qubit carrying the state to be cloned
-``REF``          an optional purifying reference entangled with ``A``
 ``S1 .. Sn``     signal qubits (the encrypted clones)
 ``N1 .. Nn``     noise qubits (the consumable key material)
 
@@ -25,7 +24,6 @@ DEFAULT_MAX_QUBITS = 24
 _max_qubits = DEFAULT_MAX_QUBITS
 
 ROLE_DATA = "A"
-ROLE_REFERENCE = "REF"
 
 
 class QcloneError(ValueError):
@@ -100,17 +98,12 @@ class RegisterLayout:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def standard(cls, n: int, with_reference: bool = False) -> "RegisterLayout":
-        """Protocol layout: data qubit first, then interleaved (S_i, N_i) pairs.
-
-        With a reference, ``REF`` sits at position 0 and everything shifts up
-        by one.
-        """
+    def standard(cls, n: int) -> "RegisterLayout":
+        """Protocol layout: data qubit first, then interleaved (S_i, N_i) pairs."""
         if n < 1:
             raise RegisterError(f"need at least one signal/noise pair, got n={n}")
-        head = (ROLE_REFERENCE, ROLE_DATA) if with_reference else (ROLE_DATA,)
         pairs = (role(i) for i in range(1, n + 1) for role in (signal_role, noise_role))
-        return cls((*head, *pairs))
+        return cls((ROLE_DATA, *pairs))
 
     @classmethod
     def generic(cls, num_qubits: int) -> "RegisterLayout":

@@ -6,7 +6,7 @@ import numpy as np
 
 from qclone.circuits import Gate, GateKind
 from qclone.registers import RegisterLayout
-from qclone.states import StateVector, _split
+from qclone.states import StateVector, _split, kron_states
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -38,6 +38,13 @@ def basis_state(layout: RegisterLayout, index: int = 0) -> StateVector:
     amps = np.zeros(2**layout.num_qubits, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(amps, layout)
+
+
+def purified_register(n: int) -> StateVector:
+    """n + 1 Bell pairs on a generic layout: (REF, A) on q0, q1, then each (S_i, N_i)
+    on q(2i), q(2i+1); the data qubit is maximally entangled with the reference."""
+    bell = np.array([1, 0, 0, 1], dtype=np.complex128) / math.sqrt(2)
+    return kron_states([bell] * (n + 1), RegisterLayout.generic(2 * n + 2))
 
 
 def input_dependence_bound(e0: StateVector, e1: StateVector, keep) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import input_dependence_bound
+from oracles import input_dependence_bound, purified_register
 
 from qclone import analysis, cli
 from qclone.analysis import (
@@ -14,8 +14,8 @@ from qclone.analysis import (
     AnalysisError,
     LambdaSpectrum,
     SweepRow,
+    _basis_encodings,
     _input_dependence_bound,
-    _purified_register,
     _unauthorized_sets,
     coherent_information_formula,
     coherent_information_simulated,
@@ -27,19 +27,26 @@ from qclone.analysis import (
 from qclone.protocol import (
     PAULI_EIGENSTATE_AMPLITUDES,
     ProtocolConfig,
-    bell_projector,
     encode,
+    encoding_unitary,
     named_state,
     prepare_initial,
 )
 from qclone.registers import (
     ROLE_DATA,
-    ROLE_REFERENCE,
     RegisterOverflowError,
     noise_role,
     signal_role,
 )
-from qclone.states import apply_unitary, partial_trace, trace_distance
+from qclone.states import (
+    DensityOperator,
+    StateVector,
+    _split,
+    apply_unitary,
+    partial_trace,
+    trace_distance,
+    von_neumann_entropy,
+)
 
 # Fixed spot value of the curve, computed once from the closed-form spectrum
 # (cos^4, sin^2 cos^2, sin^4, sin^2 cos^2) at t = pi/8 and pinned here.
@@ -127,26 +134,51 @@ def test_marginal_entropy_identity():
             assert row.S_marginal == pytest.approx(n - 1 + h, abs=1e-9)
 
 
-def test_purified_register_pairs_the_reference_with_the_data_qubit():
-    state = _purified_register(2)
-    layout = state.layout
-    reference = layout.index(ROLE_REFERENCE)
-    assert reference == 0 and layout.data == 1
-    for pair in ([reference, layout.data], [layout.signal(1), layout.noise(1)],
-                 [layout.signal(2), layout.noise(2)]):
-        rho = partial_trace(state, pair)
-        assert np.allclose(rho.matrix, bell_projector(0), atol=1e-12)
-
-
 def test_pair_reduction_has_the_lambda_spectrum():
-    """The (S1, N1) eigenvalues under a purified input are exactly lambda(t)."""
+    """On a maximally mixed input, (F_0 F_0^dagger + F_1 F_1^dagger) / 2 on
+    (S1, N1) has exactly the eigenvalues lambda(t)."""
     t = 0.47
-    state = encode(_purified_register(2), ProtocolConfig(n=2, t=t))
-    layout = state.layout
-    rho = partial_trace(state, [layout.signal(1), layout.noise(1)])
-    eigs = sorted(np.linalg.eigvalsh(rho.matrix), reverse=True)
+    e0, e1 = _basis_encodings(ProtocolConfig(n=2, t=t))
+    keep = e0.layout.indices([signal_role(1), noise_role(1)])
+    f0, f1 = _split(e0, keep), _split(e1, keep)
+    eigs = sorted(np.linalg.eigvalsh((f0 @ f0.conj().T + f1 @ f1.conj().T) / 2), reverse=True)
     lam = sorted(LambdaSpectrum.from_angle(t).values, reverse=True)
     assert np.allclose(eigs, lam, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("t", [0.0, math.pi / 8, math.pi / 4, 1.1, 2.0])
+def test_entropies_match_an_encoded_purified_register(n, t):
+    """The oracle purifies the input with a reference qubit and encodes the
+    whole register; the sweep's two entropies are its reductions' entropies."""
+    state = purified_register(n)
+    state = apply_unitary(state, encoding_unitary(n, t), [1] + [2 * i for i in range(1, n + 1)])
+    marginal = [2] + [2 * j + 1 for j in range(1, n + 1)]  # S1, then N1..Nn
+    row = coherent_information_simulated(n, t)
+    assert row.S_joint == pytest.approx(von_neumann_entropy(partial_trace(state, [0] + marginal)), abs=1e-12)
+    assert row.S_marginal == pytest.approx(von_neumann_entropy(partial_trace(state, marginal)), abs=1e-12)
+
+
+def _widths_built(monkeypatch, run) -> list[int]:
+    """The qubit count of every StateVector that ``run()`` constructs."""
+    widths, checked = [], StateVector.__post_init__
+
+    def spy(self):
+        widths.append(self.layout.num_qubits)
+        checked(self)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(StateVector, "__post_init__", spy)
+        run()
+    return widths
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sweep_builds_no_purified_register(n, monkeypatch):
+    """The reference is a row bit of the |0> and |1> encodings, not a qubit: no
+    (2n + 2)-qubit state is built."""
+    widths = _widths_built(monkeypatch, lambda: coherent_information_simulated(n, 0.3))
+    assert max(widths) == 2 * n + 1
 
 
 def test_curve_does_not_depend_on_clone_count():
@@ -304,9 +336,10 @@ def test_audit_takes_no_spectrum_beyond_a_single_pair(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_audit_makes_one_bound_per_set_and_six_reductions_per_watched_block(n, monkeypatch):
     """n + 1 set bounds, one per pair-permutation orbit of the n * 2^(n-1) + 1
-    unauthorized sets; six probe reductions for each of the n + 2 watched blocks
-    (the data qubit, every signal qubit, the noise register); no trace distance."""
-    calls = dict.fromkeys(["_input_dependence_bound", "partial_trace", "trace_distance"], 0)
+    unauthorized sets; six probe reductions (density operators) for each of the
+    n + 2 watched blocks (the data qubit, every signal qubit, the noise
+    register); no trace distance."""
+    calls = dict.fromkeys(["_input_dependence_bound", "DensityOperator", "trace_distance"], 0)
 
     def counting(name, real):
         def spy(*args):
@@ -333,6 +366,15 @@ def test_audit_encodes_only_zero_and_one(n, monkeypatch):
     encryption_audit(n)
     assert len(inputs) == 2
     np.testing.assert_allclose(inputs, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_audit_builds_no_register_beyond_the_two_encodings(n, monkeypatch):
+    """The four superposition probes are reduced from F_0 and F_1 block by
+    block: the only (2n + 1)-qubit states are |0> and |1>, prepared and encoded."""
+    widths = _widths_built(monkeypatch, lambda: encryption_audit(n))
+    assert widths.count(2 * n + 1) == 4
+    assert max(widths) == 2 * n + 1
 
 
 def _rotated_on_noise_qubit(state, j: int, angle: float):

@@ -668,6 +668,7 @@ def test_oversized_density_operator_is_refused_before_allocating(build, refused)
         ("compile", "--n", "2", "--t", "nan", "--what", "enc"),
         ("compile", "--n", "1", "--t", "1e308", "--what", "enc"),
         ("sweep", "--tmax", "inf"),
+        ("sweep", "--n", "0"),
         ("demo", "--psi", "nan,0"),
     ],
 )
@@ -677,6 +678,12 @@ def test_bad_numeric_input_is_one_error_line(capsys, tmp_path, argv):
     assert code == EXIT_INPUT_ERROR
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("command", ["demo", "audit", "sweep"])
+def test_zero_pairs_is_refused_with_the_config_message(capsys, command):
+    code, out, err = run_cli(capsys, command, "--n", "0")
+    assert (code, out, err) == (EXIT_INPUT_ERROR, "", "error: need n >= 1 signal/noise pairs, got 0\n")
 
 
 def test_unexpected_exception_exits_3_on_one_line(capsys, monkeypatch):
@@ -858,7 +865,7 @@ def test_each_protocol_operator_is_checked_once_where_it_is_built(capsys, monkey
 )
 def test_each_report_reduces_only_what_it_reads(capsys, monkeypatch, argv, reductions):
     calls = Counter()
-    for module in (cli, protocol, qclone.analysis):
+    for module in (cli, protocol):  # analysis reduces its own splits, so it has no partial_trace
 
         def counted(*args, _trace=module.partial_trace):
             calls["partial_trace"] += 1

@@ -10,7 +10,6 @@ from qclone.paulis import PauliString
 from qclone.protocol import AlphaCoefficients, decoding_unitary
 from qclone.registers import (
     DEFAULT_MAX_QUBITS,
-    ROLE_REFERENCE,
     RegisterError,
     RegisterLayout,
     RegisterOverflowError,
@@ -29,30 +28,20 @@ def test_standard_layout_interleaves_pairs():
     assert [layout.noise(i) for i in (1, 2, 3)] == [2, 4, 6]
 
 
-def test_standard_layout_with_reference_prepends_one_qubit():
-    layout = RegisterLayout.standard(2, with_reference=True)
-    assert layout.num_qubits == 6
-    assert layout.index(ROLE_REFERENCE) == 0
-    assert layout.data == 1
-    assert layout.signal(1) == 2
-    assert layout.noise(2) == 5
-
-
 @pytest.mark.parametrize(
     "n, with_reference, names",
     [
         (1, False, ("A", "S1", "N1")),
         (2, False, ("A", "S1", "N1", "S2", "N2")),
         (3, False, ("A", "S1", "N1", "S2", "N2", "S3", "N3")),
-        (1, True, ("REF", "A", "S1", "N1")),
-        (2, True, ("REF", "A", "S1", "N1", "S2", "N2")),
-        (3, True, ("REF", "A", "S1", "N1", "S2", "N2", "S3", "N3")),
     ],
 )
 def test_standard_layout_names(n, with_reference, names):
-    layout = RegisterLayout.standard(n, with_reference)
+    layout = RegisterLayout.standard(n)
     assert layout.names == names
     assert layout.num_qubits == len(names)
+    with pytest.raises(TypeError):  # the layout takes only n; it has no reference qubit
+        RegisterLayout.standard(n, with_reference)
 
 
 def test_role_lookup_round_trip():
